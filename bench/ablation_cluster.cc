@@ -82,8 +82,8 @@ ClusterRunResult Run(Fleet fleet, bool cluster_ecl,
 
 int MinNodesOn(const ClusterRunResult& r) {
   int nodes = kNodes;
-  for (const experiment::ClusterSample& s : r.series) {
-    nodes = std::min(nodes, s.nodes_on);
+  for (double on : r.series.Column("exp/cluster/nodes_on")) {
+    nodes = std::min(nodes, static_cast<int>(on));
   }
   return nodes;
 }

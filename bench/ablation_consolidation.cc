@@ -62,37 +62,41 @@ RunResult Run(bool consolidation, telemetry::Telemetry* tel) {
       profile, options);
 }
 
-/// Reads a whole file; empty string when unreadable.
-std::string Slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return "";
-  std::string data;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  std::fclose(f);
-  return data;
-}
-
 /// Energy over the low-load phase, integrated from the power samples
 /// (each sample's power is averaged over the preceding sample period).
 double LowPhaseEnergyJ(const RunResult& r, double period_s) {
+  const std::vector<double> t = r.series.Column("t_s");
+  const std::vector<double> w = r.series.Column("exp/rapl_power_w");
   double j = 0.0;
-  for (const experiment::Sample& s : r.series) {
-    if (s.t_s > ToSeconds(kLowStart) && s.t_s <= ToSeconds(kLowEnd)) {
-      j += s.rapl_power_w * period_s;
+  for (size_t i = 0; i < t.size(); ++i) {
+    if (t[i] > ToSeconds(kLowStart) && t[i] <= ToSeconds(kLowEnd)) {
+      j += w[i] * period_s;
     }
   }
   return j;
 }
 
+/// Per-socket `exp/socket{S}/<metric>` columns of a series, socket order.
+std::vector<std::vector<double>> SocketColumns(const RunResult& r,
+                                               const std::string& metric) {
+  std::vector<std::vector<double>> cols;
+  for (int sk = 0;; ++sk) {
+    const std::string name = "exp/socket" + std::to_string(sk) + "/" + metric;
+    if (r.series.Find(name) < 0) return cols;
+    cols.push_back(r.series.Column(name));
+  }
+}
+
 /// Minimum per-socket power of any sample in the low phase: with
 /// consolidation the donor socket reaches the deep package-sleep floor.
 double MinSocketPowerW(const RunResult& r) {
+  const std::vector<double> t = r.series.Column("t_s");
   double w = 1e18;
-  for (const experiment::Sample& s : r.series) {
-    if (s.t_s <= ToSeconds(kLowStart) || s.t_s > ToSeconds(kLowEnd)) continue;
-    for (double sw : s.socket_power_w) w = std::min(w, sw);
+  for (const std::vector<double>& socket : SocketColumns(r, "power_w")) {
+    for (size_t i = 0; i < t.size(); ++i) {
+      if (t[i] <= ToSeconds(kLowStart) || t[i] > ToSeconds(kLowEnd)) continue;
+      w = std::min(w, socket[i]);
+    }
   }
   return w;
 }
@@ -100,20 +104,22 @@ double MinSocketPowerW(const RunResult& r) {
 /// Most lopsided placement reached during the low phase (partitions on
 /// the fullest socket; 48 == everything on one socket).
 int MaxPartitionsOnOneSocket(const RunResult& r) {
-  int parts = 0;
-  for (const experiment::Sample& s : r.series) {
-    for (int p : s.partitions_on_socket) parts = std::max(parts, p);
+  double parts = 0.0;
+  for (const std::vector<double>& socket : SocketColumns(r, "partitions")) {
+    for (double p : socket) parts = std::max(parts, p);
   }
-  return parts;
+  return static_cast<int>(parts);
 }
 
 /// Worst windowed latency while consolidated (the latency limit must hold
 /// *during* the low phase; the step edges are transition transients).
 double LowPhaseMaxLatencyMs(const RunResult& r) {
+  const std::vector<double> t = r.series.Column("t_s");
+  const std::vector<double> lat = r.series.Column("exp/latency_window_ms");
   double ms = 0.0;
-  for (const experiment::Sample& s : r.series) {
-    if (s.t_s > ToSeconds(kLowStart) + 30.0 && s.t_s <= ToSeconds(kLowEnd)) {
-      ms = std::max(ms, s.latency_window_ms);
+  for (size_t i = 0; i < t.size(); ++i) {
+    if (t[i] > ToSeconds(kLowStart) + 30.0 && t[i] <= ToSeconds(kLowEnd)) {
+      ms = std::max(ms, lat[i]);
     }
   }
   return ms;
@@ -122,11 +128,13 @@ double LowPhaseMaxLatencyMs(const RunResult& r) {
 /// Seconds after the step back to high load until the windowed latency
 /// re-enters the limit (spread-back / discovery recovery time).
 double RecoverySeconds(const RunResult& r, double limit_ms) {
+  const std::vector<double> t = r.series.Column("t_s");
+  const std::vector<double> lat = r.series.Column("exp/latency_window_ms");
   double recovered_at = ToSeconds(kDuration);
-  for (auto it = r.series.rbegin(); it != r.series.rend(); ++it) {
-    if (it->t_s <= ToSeconds(kLowEnd)) break;
-    if (it->latency_window_ms > limit_ms) {
-      recovered_at = it->t_s;
+  for (size_t i = t.size(); i-- > 0;) {
+    if (t[i] <= ToSeconds(kLowEnd)) break;
+    if (lat[i] > limit_ms) {
+      recovered_at = t[i];
       break;
     }
   }
@@ -149,7 +157,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 2; ++i) {
     telemetry::TelemetryParams tp;
     tp.enabled = true;
-    tp.sample_period = Millis(500);  // matches RunOptions::sample_period
+    tp.sample_period = Millis(500);  // must match RunOptions::sample_period
     tels.push_back(std::make_unique<telemetry::Telemetry>(tp));
   }
   std::vector<RunResult> results(2);
@@ -200,26 +208,7 @@ int main(int argc, char** argv) {
       "pressure, which spreads partitions back before the limit is "
       "violated.\n");
 
-  // Export the consolidation arm's series twice — through the bespoke
-  // per-figure exporter and through the generic telemetry series — and
-  // check the generic path reproduces the bespoke CSV byte-for-byte.
-  bench::ExportSeries("ablation_consolidation", cons);
-  const std::vector<std::string> kCols = {
-      "t_s", "exp/offered_qps", "exp/rapl_power_w", "exp/latency_window_ms",
-      "exp/active_threads", "exp/perf_level_frac", "exp/utilization"};
-  const std::vector<std::string> kNames = {
-      "t_s", "offered_qps", "rapl_power_w", "latency_window_ms",
-      "active_threads", "perf_level_frac", "utilization"};
-  const std::string tel_csv = "bench_results/ablation_consolidation_telemetry.csv";
-  if (telemetry::WriteSeriesCsv(*tels[1], tel_csv, kCols, kNames)) {
-    std::printf("[telemetry series exported to %s]\n", tel_csv.c_str());
-    const std::string bespoke = Slurp("bench_results/ablation_consolidation.csv");
-    const std::string generic = Slurp(tel_csv);
-    std::printf("[telemetry series %s the bespoke exporter]\n",
-                !bespoke.empty() && bespoke == generic
-                    ? "byte-identical to"
-                    : "DIFFERS from");
-  }
+  bench::WriteRunCsv("ablation_consolidation", cons.series);
   telemetry::WriteChromeTrace(*tels[1],
                               "bench_results/ablation_consolidation.trace.json");
   return 0;

@@ -136,14 +136,15 @@ SloRunResult Run(Arm arm) {
       MakeOptions(arm));
 }
 
-/// Mean of a sample field over the post-crowd scoring window.
-double PostCrowdMean(const SloRunResult& r,
-                     double (*field)(const experiment::SloSample&)) {
+/// Mean of a series column over the post-crowd scoring window.
+double PostCrowdMean(const SloRunResult& r, const std::string& column) {
+  const std::vector<double> t = r.series.Column("t_s");
+  const std::vector<double> v = r.series.Column(column);
   double sum = 0.0;
   int n = 0;
-  for (const experiment::SloSample& s : r.series) {
-    if (s.t_s < kScoreFromS) continue;
-    sum += field(s);
+  for (size_t i = 0; i < t.size(); ++i) {
+    if (t[i] < kScoreFromS) continue;
+    sum += v[i];
     ++n;
   }
   return n > 0 ? sum / n : 0.0;
@@ -153,9 +154,11 @@ double PostCrowdMean(const SloRunResult& r,
 /// storm actually end". A system still shedding at trace end never
 /// re-converged.
 double LastShedS(const SloRunResult& r) {
+  const std::vector<double> t = r.series.Column("t_s");
+  const std::vector<double> shed = r.series.Column("exp/shed_fraction");
   double last = 0.0;
-  for (const experiment::SloSample& s : r.series) {
-    if (s.shed_fraction > 0.05) last = s.t_s;
+  for (size_t i = 0; i < t.size(); ++i) {
+    if (shed[i] > 0.05) last = t[i];
   }
   return last;
 }
@@ -185,25 +188,16 @@ int main(int argc, char** argv) {
     summary.AddRow(
         {arm_names[i], FmtInt(r.arrivals), FmtInt(r.retries), FmtInt(r.shed),
          FmtInt(r.abandoned), FmtInt(r.completed), Fmt(r.energy_j, 0),
-         Fmt(PostCrowdMean(
-                 r, [](const experiment::SloSample& s) {
-                   return s.shed_fraction;
-                 }),
-             3),
-         Fmt(PostCrowdMean(
-                 r, [](const experiment::SloSample& s) { return s.pressure; }),
-             3),
+         Fmt(PostCrowdMean(r, "exp/shed_fraction"), 3),
+         Fmt(PostCrowdMean(r, "exp/pressure"), 3),
          Fmt(LastShedS(r), 0)});
   }
   summary.Print();
 
   const SloRunResult& immediate = results[kImmediate];
   const SloRunResult& backoff = results[kBackoff];
-  const double imm_shed = PostCrowdMean(
-      immediate,
-      [](const experiment::SloSample& s) { return s.shed_fraction; });
-  const double back_shed = PostCrowdMean(
-      backoff, [](const experiment::SloSample& s) { return s.shed_fraction; });
+  const double imm_shed = PostCrowdMean(immediate, "exp/shed_fraction");
+  const double back_shed = PostCrowdMean(backoff, "exp/shed_fraction");
   std::printf(
       "\npost-crowd (t >= %.0f s, crowd gone at %.0f s): immediate retries "
       "hold shed fraction at %.2f (still shedding at t=%.0f s) while "
@@ -224,11 +218,15 @@ int main(int argc, char** argv) {
                 {"arm", "t_s", "offered_qps", "power_w", "latency_window_ms",
                  "pressure", "shed_fraction", "active_threads"});
   for (size_t i = 0; i < results.size(); ++i) {
-    for (const experiment::SloSample& s : results[i].series) {
-      csv.AddRow({arm_names[i], Fmt(s.t_s, 2), Fmt(s.offered_qps, 2),
-                  Fmt(s.power_w, 3), Fmt(s.latency_window_ms, 3),
-                  Fmt(s.pressure, 4), Fmt(s.shed_fraction, 4),
-                  std::to_string(s.width)});
+    const telemetry::Series& s = results[i].series;
+    for (size_t row = 0; row < s.size(); ++row) {
+      csv.AddRow({arm_names[i], Fmt(s.At(row, "t_s"), 2),
+                  Fmt(s.At(row, "exp/offered_qps"), 2),
+                  Fmt(s.At(row, "exp/power_w"), 3),
+                  Fmt(s.At(row, "exp/latency_window_ms"), 3),
+                  Fmt(s.At(row, "exp/pressure"), 4),
+                  Fmt(s.At(row, "exp/shed_fraction"), 4),
+                  std::to_string(static_cast<int>(s.At(row, "exp/width")))});
     }
   }
   if (csv.ok()) {

@@ -22,6 +22,7 @@
 #include "experiment/loadgen_trace.h"
 #include "experiment/run_matrix.h"
 #include "loadgen/loadgen.h"
+#include "telemetry/export.h"
 #include "workload/kv.h"
 
 using namespace ecldb;
@@ -115,18 +116,11 @@ SloRunResult Run(bool flash_crowd, bool admission) {
       MakeOptions(flash_crowd, admission));
 }
 
-double PeakPressure(const SloRunResult& r) {
-  double p = 0.0;
-  for (const experiment::SloSample& s : r.series) p = std::max(p, s.pressure);
-  return p;
-}
-
-double PeakShedFraction(const SloRunResult& r) {
-  double f = 0.0;
-  for (const experiment::SloSample& s : r.series) {
-    f = std::max(f, s.shed_fraction);
-  }
-  return f;
+/// Peak of a series column over the run.
+double Peak(const SloRunResult& r, const std::string& column) {
+  double peak = 0.0;
+  for (double v : r.series.Column(column)) peak = std::max(peak, v);
+  return peak;
 }
 
 void AddClassRows(TablePrinter& table, const std::string& arm,
@@ -180,8 +174,8 @@ int main(int argc, char** argv) {
     const SloRunResult& r = results[i];
     summary.AddRow({arm_names[i], FmtInt(r.arrivals), FmtInt(r.shed),
                     FmtInt(r.completed), Fmt(r.energy_j, 0),
-                    Fmt(r.avg_power_w, 1), Fmt(PeakPressure(r), 2),
-                    Fmt(PeakShedFraction(r), 2)});
+                    Fmt(r.avg_power_w, 1), Fmt(Peak(r, "exp/pressure"), 2),
+                    Fmt(Peak(r, "exp/shed_fraction"), 2)});
   }
   summary.Print();
 
@@ -211,15 +205,12 @@ int main(int argc, char** argv) {
       "standard second, premium never.\n");
 
   // Time series of the shedding arm for the plots.
-  CsvWriter csv("bench_results/ablation_slo_tiers.csv",
-                {"t_s", "offered_qps", "power_w", "latency_window_ms",
-                 "pressure", "shed_fraction", "active_threads"});
-  for (const experiment::SloSample& s : shedding.series) {
-    csv.AddNumericRow({s.t_s, s.offered_qps, s.power_w, s.latency_window_ms,
-                       s.pressure, s.shed_fraction,
-                       static_cast<double>(s.width)});
-  }
-  if (csv.ok()) {
+  if (telemetry::WriteSeriesCsv(
+          shedding.series, "bench_results/ablation_slo_tiers.csv",
+          {"t_s", "exp/offered_qps", "exp/power_w", "exp/latency_window_ms",
+           "exp/pressure", "exp/shed_fraction", "exp/width"},
+          {"t_s", "offered_qps", "power_w", "latency_window_ms", "pressure",
+           "shed_fraction", "active_threads"})) {
     std::printf("[series exported to bench_results/ablation_slo_tiers.csv]\n");
   }
   return 0;

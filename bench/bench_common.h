@@ -14,25 +14,23 @@
 #include "profile/energy_profile.h"
 #include "profile/evaluator.h"
 #include "sim/simulator.h"
+#include "telemetry/export.h"
 #include "workload/work_profiles.h"
 
 namespace ecldb::bench {
 
-/// Writes an experiment time series to bench_results/<name>.csv so plots
-/// can be regenerated (see plots/).
-inline void ExportSeries(const char* name,
-                         const experiment::RunResult& result) {
-  CsvWriter csv("bench_results/" + std::string(name) + ".csv",
-                {"t_s", "offered_qps", "rapl_power_w", "latency_window_ms",
-                 "active_threads", "perf_level_frac", "utilization"});
-  for (const experiment::Sample& s : result.series) {
-    csv.AddNumericRow({s.t_s, s.offered_qps, s.rapl_power_w,
-                       s.latency_window_ms,
-                       static_cast<double>(s.active_threads),
-                       s.perf_level_frac, s.utilization});
-  }
-  if (csv.ok()) {
-    std::printf("[series exported to bench_results/%s.csv]\n", name);
+/// Writes the plotted columns of a RunLoadExperiment series to
+/// bench_results/<name>.csv under the plot scripts' names (see plots/).
+inline void WriteRunCsv(const char* name, const telemetry::Series& series) {
+  const std::string path = "bench_results/" + std::string(name) + ".csv";
+  if (telemetry::WriteSeriesCsv(
+          series, path,
+          {"t_s", "exp/offered_qps", "exp/rapl_power_w",
+           "exp/latency_window_ms", "exp/active_threads",
+           "exp/perf_level_frac", "exp/utilization"},
+          {"t_s", "offered_qps", "rapl_power_w", "latency_window_ms",
+           "active_threads", "perf_level_frac", "utilization"})) {
+    std::printf("[series exported to %s]\n", path.c_str());
   }
 }
 

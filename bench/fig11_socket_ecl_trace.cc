@@ -12,7 +12,6 @@
 #include <string>
 
 #include "bench_common.h"
-#include "common/check.h"
 #include "ecl/ecl.h"
 #include "engine/engine.h"
 #include "telemetry/export.h"
@@ -85,32 +84,23 @@ void RunTrace(int max_rti_cycles, bool print_table,
   if (print_table) {
     TablePrinter table({"t s", "load", "util", "perf level", "config",
                         "rti", "duty", "cycles", "mux evals"});
-    // Column indices into the sampled series (column 0 is t_s).
-    const std::vector<std::string> header = tel.SeriesHeader();
-    auto col = [&header](const char* name) {
-      for (size_t i = 0; i < header.size(); ++i) {
-        if (header[i] == name) return i;
-      }
-      ECLDB_CHECK(false && "series column not found");
-      return header.size();
-    };
-    const size_t c_util = col("ecl/socket0/utilization");
-    const size_t c_level = col("ecl/socket0/perf_level");
-    const size_t c_peak = col("ecl/socket0/peak_perf");
-    const size_t c_config = col("ecl/socket0/config_index");
-    const size_t c_duty = col("ecl/socket0/rti_duty");
-    const size_t c_cycles = col("ecl/socket0/rti_cycles");
+    const telemetry::Series& series = tel.series();
     const ecl::SocketEcl& se = loop.socket(0);
     for (int t = 1; t <= 14; ++t) {
-      const std::vector<double>& row =
-          tel.series()[static_cast<size_t>(t - 1)];
-      const int config = static_cast<int>(row[c_config]);
-      const int cycles = static_cast<int>(row[c_cycles]);
+      const size_t row = static_cast<size_t>(t - 1);
+      const int config =
+          static_cast<int>(series.At(row, "ecl/socket0/config_index"));
+      const int cycles =
+          static_cast<int>(series.At(row, "ecl/socket0/rti_cycles"));
       table.AddRow({FmtInt(t), Fmt(steps.LoadAt(Seconds(t - 1)), 2),
-                    Fmt(row[c_util], 2), Fmt(row[c_level] / row[c_peak], 2),
+                    Fmt(series.At(row, "ecl/socket0/utilization"), 2),
+                    Fmt(series.At(row, "ecl/socket0/perf_level") /
+                            series.At(row, "ecl/socket0/peak_perf"),
+                        2),
                     bench::Describe(machine.topology(),
                                     se.profile().config(config)),
-                    cycles > 0 ? "on" : "off", Fmt(row[c_duty], 2),
+                    cycles > 0 ? "on" : "off",
+                    Fmt(series.At(row, "ecl/socket0/rti_duty"), 2),
                     FmtInt(cycles),
                     FmtInt(eval_counts[static_cast<size_t>(t)] -
                            eval_counts[static_cast<size_t>(t - 1)])});
@@ -127,7 +117,7 @@ void RunTrace(int max_rti_cycles, bool print_table,
       std::printf("[trace exported to %s]\n", trace_path.c_str());
     }
     const std::string csv_path = trace_path + ".series.csv";
-    if (telemetry::WriteSeriesCsv(tel, csv_path)) {
+    if (telemetry::WriteSeriesCsv(tel.series(), csv_path)) {
       std::printf("[telemetry series exported to %s]\n", csv_path.c_str());
     }
   }

@@ -35,8 +35,8 @@ RunResult Run(ControlMode mode, SimDuration ecl_interval) {
 
 double OverloadSeconds(const RunResult& r, double limit_ms) {
   double seconds = 0.0;
-  for (const auto& s : r.series) {
-    if (s.latency_window_ms > limit_ms) seconds += 2.0;
+  for (double ms : r.series.Column("exp/latency_window_ms")) {
+    if (ms > limit_ms) seconds += 2.0;
   }
   return seconds;
 }
@@ -63,19 +63,19 @@ int main(int argc, char** argv) {
   const RunResult& base = results[0];
   const RunResult& ecl1 = results[1];
   const RunResult& ecl2 = results[2];
-  bench::ExportSeries("fig13_baseline", base);
-  bench::ExportSeries("fig13_ecl_1hz", ecl1);
-  bench::ExportSeries("fig13_ecl_2hz", ecl2);
+  bench::WriteRunCsv("fig13_baseline", base.series);
+  bench::WriteRunCsv("fig13_ecl_1hz", ecl1.series);
+  bench::WriteRunCsv("fig13_ecl_2hz", ecl2.series);
 
   std::printf("\n-- (a) load and power over time (sampled every 2 s) --\n");
   TablePrinter series({"t s", "load kQps", "baseline W", "ECL 1Hz W",
                        "ECL 2Hz W"});
   for (size_t i = 0; i < base.series.size(); i += 3) {
-    series.AddRow({Fmt(base.series[i].t_s, 0),
-                   Fmt(base.series[i].offered_qps / 1000.0, 1),
-                   Fmt(base.series[i].rapl_power_w, 1),
-                   Fmt(ecl1.series[i].rapl_power_w, 1),
-                   Fmt(ecl2.series[i].rapl_power_w, 1)});
+    series.AddRow({Fmt(base.series.At(i, "t_s"), 0),
+                   Fmt(base.series.At(i, "exp/offered_qps") / 1000.0, 1),
+                   Fmt(base.series.At(i, "exp/rapl_power_w"), 1),
+                   Fmt(ecl1.series.At(i, "exp/rapl_power_w"), 1),
+                   Fmt(ecl2.series.At(i, "exp/rapl_power_w"), 1)});
   }
   series.Print();
 

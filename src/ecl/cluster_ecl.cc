@@ -1,8 +1,6 @@
 #include "ecl/cluster_ecl.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +30,7 @@ ClusterEcl::ClusterEcl(sim::Simulator* simulator,
     reg.AddCounterFn("cluster/ecl/power_downs",
                      [this] { return power_downs_; });
     reg.AddCounterFn("cluster/ecl/wakes", [this] { return wakes_; });
+    reg.AddGauge("cluster/ecl/pressure", [this] { return ClusterPressure(); });
     trace_lane_ = tel->trace().RegisterLane("cluster/ecl");
   }
 }
@@ -64,30 +63,6 @@ void ClusterEcl::Tick() {
     last_migration_time_ = simulator_->now();
   }
   const double pressure = ClusterPressure();
-
-  // Set ECLDB_CLUSTER_DEBUG=1 to trace every policy tick (same idiom as
-  // ECLDB_DRIFT_DEBUG in the drift experiment).
-  static const bool debug = std::getenv("ECLDB_CLUSTER_DEBUG") != nullptr;
-  if (debug) {
-    hwsim::Cluster& cluster = engine_->cluster();
-    std::fprintf(stderr, "[cluster-ecl] t=%.1fs pressure=%.3f active=%d",
-                 ToSeconds(simulator_->now()), pressure,
-                 engine_->active_migrations());
-    for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-      std::fprintf(stderr, " n%d:%s/p%d/l%.2f", n,
-                   cluster.IsOn(n)
-                       ? "on"
-                       : (cluster.state(n) == hwsim::Cluster::NodeState::kOff
-                              ? "off"
-                              : "boot"),
-                   engine_->placement().PartitionsOn(n), load_(n));
-    }
-    std::fprintf(stderr, " moves=c%lld/s%lld downs=%lld wakes=%lld\n",
-                 static_cast<long long>(consolidation_moves_),
-                 static_cast<long long>(spread_moves_),
-                 static_cast<long long>(power_downs_),
-                 static_cast<long long>(wakes_));
-  }
 
   // Wakes run before anything else, every tick: capacity arrives a boot
   // latency late, so deferring a needed wake behind migration settling

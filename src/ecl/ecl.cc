@@ -41,15 +41,18 @@ EnergyControlLoop::EnergyControlLoop(sim::Simulator* simulator,
     consolidation_ = std::make_unique<ConsolidationPolicy>(
         simulator_, engine_, system_.get(),
         // Relative load: the processed performance level over the
-        // profile's peak score (same currency the experiment samplers
-        // report as perf_level_frac).
+        // profile's peak score (the experiments' perf_level_frac).
         [this](SocketId s) {
-          const SocketEcl& se = *sockets_[static_cast<size_t>(s)];
-          const double peak = se.profile().PeakPerfScore();
-          return peak > 0.0 ? se.performance_level() / peak : 0.0;
+          return sockets_[static_cast<size_t>(s)]->PerfLevelFrac();
         },
         params_.consolidation);
   }
+}
+
+double EnergyControlLoop::MeanPerfLevelFrac() const {
+  double level = 0.0;
+  for (const auto& socket : sockets_) level += socket->PerfLevelFrac();
+  return level / num_sockets();
 }
 
 void EnergyControlLoop::Start() {

@@ -51,6 +51,9 @@ class EnergyControlLoop {
   SystemEcl& system() { return *system_; }
   SocketEcl& socket(SocketId s) { return *sockets_[static_cast<size_t>(s)]; }
   int num_sockets() const { return static_cast<int>(sockets_.size()); }
+  /// Mean over sockets of SocketEcl::PerfLevelFrac: the node's relative
+  /// load.
+  double MeanPerfLevelFrac() const;
   /// Non-null iff consolidation was enabled in the params.
   ConsolidationPolicy* consolidation() { return consolidation_.get(); }
 

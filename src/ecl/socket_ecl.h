@@ -81,6 +81,12 @@ class SocketEcl {
   const profile::FeatureVector& last_features() const { return last_features_; }
 
   double performance_level() const { return perf_level_; }
+  /// performance_level() relative to the profile's peak score (0 while
+  /// the profile has no peak): the socket's relative load.
+  double PerfLevelFrac() const {
+    const double peak = profile_.PeakPerfScore();
+    return peak > 0.0 ? perf_level_ / peak : 0.0;
+  }
   int current_config_index() const { return current_index_; }
   const RtiController::Plan& last_plan() const { return last_plan_; }
   double last_utilization() const { return last_utilization_; }

@@ -63,14 +63,7 @@ ClusterRig::ClusterRig(const ClusterWorkloadFactory& factory,
     cluster_ecl_ = std::make_unique<ecl::ClusterEcl>(
         &simulator_, cengine_.get(),
         [&node_ecls](NodeId n) {
-          ecl::EnergyControlLoop& loop = *node_ecls[static_cast<size_t>(n)];
-          double load = 0.0;
-          for (int s = 0; s < loop.num_sockets(); ++s) {
-            const ecl::SocketEcl& se = loop.socket(s);
-            const double peak = se.profile().PeakPerfScore();
-            if (peak > 0.0) load += se.performance_level() / peak;
-          }
-          return load / loop.num_sockets();
+          return node_ecls[static_cast<size_t>(n)]->MeanPerfLevelFrac();
         },
         [&node_ecls](NodeId n) {
           return node_ecls[static_cast<size_t>(n)]->system().pressure();
@@ -124,12 +117,47 @@ NodeId ClusterRig::EntryNodeFor(const engine::QuerySpec& spec) {
   return home;
 }
 
-double ClusterRig::MaxNodePressure() const {
+void ClusterRig::Submit(const engine::QuerySpec& spec) {
+  if (spec.work.empty()) return;
+  cengine_->Submit(EntryNodeFor(spec), spec);
+}
+
+void ClusterRig::SetCompletionCallback(
+    const engine::Scheduler::CompletionCallback& cb) {
+  for (NodeId n = 0; n < num_nodes(); ++n) {
+    cengine_->node_engine(n).scheduler().SetCompletionCallback(cb);
+  }
+}
+
+double ClusterRig::Pressure() const {
   double p = 0.0;
   for (const auto& ecl : node_ecls_) {
     p = std::max(p, ecl->system().pressure());
   }
   return p;
+}
+
+void ClusterRig::SetShedSignal(const std::function<double()>& signal) {
+  for (auto& ecl : node_ecls_) ecl->system().SetShedSignal(signal);
+}
+
+double ClusterRig::LatencyWindowMs() const {
+  double ms = 0.0;
+  for (NodeId n = 0; n < cluster_->num_nodes(); ++n) {
+    ms = std::max(ms, cengine_->node_engine(n).latency().WindowMeanMs());
+  }
+  return ms;
+}
+
+std::string ClusterRig::DescribeBacklog() const {
+  std::string d = "backlog:";
+  for (NodeId n = 0; n < cluster_->num_nodes(); ++n) {
+    d += " node" + std::to_string(n) + "=" +
+         std::to_string(static_cast<int64_t>(cengine_->BacklogOps(n))) +
+         (cluster_->IsFailed(n) ? "(failed)" : "");
+  }
+  d += " engine_failed=" + std::to_string(cengine_->QueriesFailed());
+  return d;
 }
 
 ClusterLoadDriver::ClusterLoadDriver(ClusterRig* rig,
@@ -163,7 +191,7 @@ void ClusterLoadDriver::ScheduleNext() {
     if (t < profile_->duration()) {
       const engine::QuerySpec spec = rig_->workload().MakeQuery(rng_);
       if (!spec.work.empty()) {
-        rig_->cengine().Submit(rig_->EntryNodeFor(spec), spec);
+        rig_->Submit(spec);
         ++submitted_;
       }
     }

@@ -1,7 +1,10 @@
 #ifndef ECLDB_EXPERIMENT_CLUSTER_RIG_H_
 #define ECLDB_EXPERIMENT_CLUSTER_RIG_H_
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -41,10 +44,6 @@ class ClusterRig {
   /// seeded stream.
   NodeId EntryNodeFor(const engine::QuerySpec& spec);
 
-  /// Max over the per-node system-ECL pressures (the admission
-  /// controller's cluster-scope pressure signal).
-  double MaxNodePressure() const;
-
   sim::Simulator& simulator() { return simulator_; }
   hwsim::Cluster& cluster() { return *cluster_; }
   engine::ClusterEngine& cengine() { return *cengine_; }
@@ -57,6 +56,30 @@ class ClusterRig {
   ecl::ClusterEcl* cluster_ecl() { return cluster_ecl_.get(); }
   telemetry::Telemetry* telemetry() { return tel_; }
   const ClusterRunOptions& options() const { return options_; }
+
+  // The calls the loadgen runner makes on either rig (NodeRig has the
+  // same set).
+  /// Enters a query at EntryNodeFor(spec); empty queries are dropped.
+  void Submit(const engine::QuerySpec& spec);
+  /// Wires `cb` into every node's scheduler.
+  void SetCompletionCallback(
+      const engine::Scheduler::CompletionCallback& cb);
+  void SetFailureCallback(engine::Scheduler::FailureCallback cb) {
+    cengine_->SetQueryFailureCallback(std::move(cb));
+  }
+  /// Max over the per-node system-ECL pressures (the admission
+  /// controller's cluster-scope pressure signal).
+  double Pressure() const;
+  /// Feeds the admission shed fraction to every node's system ECL.
+  void SetShedSignal(const std::function<double()>& signal);
+  /// Whole-cluster energy: machine RAPL + platform overheads + off/boot.
+  double EnergyJ() const { return cluster_->TotalEnergyJoules(); }
+  /// Powered-on nodes.
+  int Width() const { return cluster_->NodesOn(); }
+  /// Max over nodes of the latency window mean.
+  double LatencyWindowMs() const;
+  /// Per-node queued work, for the drain watchdog's diagnostic.
+  std::string DescribeBacklog() const;
 
  private:
   ClusterRunOptions options_;

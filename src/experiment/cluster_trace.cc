@@ -1,13 +1,10 @@
 #include "experiment/cluster_trace.h"
 
 #include <algorithm>
-#include <memory>
-#include <string>
-#include <utility>
 
-#include "common/check.h"
 #include "experiment/cluster_rig.h"
 #include "experiment/drain.h"
+#include "experiment/run_sampler.h"
 
 namespace ecldb::experiment {
 
@@ -15,10 +12,11 @@ ClusterRunResult RunClusterExperiment(const ClusterWorkloadFactory& factory,
                                       const workload::LoadProfile& profile,
                                       const ClusterRunOptions& options) {
   ClusterRig rig(factory, options);
+  RunSampler sampler(options.telemetry, &rig.simulator(),
+                     options.sample_period);
   sim::Simulator& simulator = rig.simulator();
   hwsim::Cluster& cluster = rig.cluster();
   engine::ClusterEngine& cengine = rig.cengine();
-  telemetry::Telemetry* const tel = rig.telemetry();
   const int num_nodes = rig.num_nodes();
   const double capacity = rig.capacity();
 
@@ -35,57 +33,18 @@ ClusterRunResult RunClusterExperiment(const ClusterWorkloadFactory& factory,
   const double e0 = cluster.TotalEnergyJoules();
   driver.Start();
 
-  const SimTime run_end = run_start + profile.duration();
-  double sampler_last_energy = cluster.TotalEnergyJoules();
-  std::vector<double> sampler_last_node_e(static_cast<size_t>(num_nodes));
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    sampler_last_node_e[static_cast<size_t>(n)] = cluster.NodeEnergyJoules(n);
-  }
-  if (tel != nullptr) {
-    telemetry::MetricRegistry& reg = tel->registry();
-    const SimDuration period = options.sample_period;
-    reg.AddGauge("exp/cluster/offered_qps", [&driver, &simulator] {
-      return driver.OfferedQps(simulator.now());
-    });
-    auto last_energy = std::make_shared<double>(cluster.TotalEnergyJoules());
-    reg.AddGauge("exp/cluster/power_w", [&cluster, last_energy, period] {
-      const double e = cluster.TotalEnergyJoules();
-      const double w = (e - *last_energy) / ToSeconds(period);
-      *last_energy = e;
-      return w;
-    });
-    reg.AddGauge("exp/cluster/nodes_on", [&cluster] {
-      return static_cast<double>(cluster.NodesOn());
-    });
-    tel->StartSampler(run_start);
-  }
-  for (SimTime t = run_start + options.sample_period; t <= run_end;
-       t += options.sample_period) {
-    simulator.Schedule(t, [&, t] {
-      ClusterSample s;
-      s.t_s = ToSeconds(t - run_start);
-      s.offered_qps = driver.OfferedQps(t);
-      const double e = cluster.TotalEnergyJoules();
-      s.power_w = (e - sampler_last_energy) / ToSeconds(options.sample_period);
-      sampler_last_energy = e;
-      s.nodes_on = cluster.NodesOn();
-      for (NodeId n = 0; n < num_nodes; ++n) {
-        const double ne = cluster.NodeEnergyJoules(n);
-        s.node_power_w.push_back(
-            (ne - sampler_last_node_e[static_cast<size_t>(n)]) /
-            ToSeconds(options.sample_period));
-        sampler_last_node_e[static_cast<size_t>(n)] = ne;
-        s.partitions_on_node.push_back(cengine.placement().PartitionsOn(n));
-        s.latency_window_ms =
-            std::max(s.latency_window_ms,
-                     cengine.node_engine(n).latency().WindowMeanMs());
-      }
-      result.series.push_back(s);
-    });
-  }
+  telemetry::MetricRegistry& reg = sampler.registry();
+  reg.AddGauge("exp/cluster/offered_qps", [&driver, &simulator] {
+    return driver.OfferedQps(simulator.now());
+  });
+  sampler.AddPowerGauge("exp/cluster/power_w",
+                        [&rig] { return rig.EnergyJ(); });
+  reg.AddGauge("exp/cluster/nodes_on",
+               [&rig] { return static_cast<double>(rig.Width()); });
+  sampler.Start(run_start);
 
-  simulator.RunUntil(run_end);
-  if (tel != nullptr) tel->StopSampler();
+  simulator.RunUntil(run_start + profile.duration());
+  result.series = sampler.Stop();
   const double e1 = cluster.TotalEnergyJoules();
   DrainToCompletion(
       simulator, [&cengine] { return cengine.CompletedQueries(); },
@@ -121,7 +80,9 @@ ClusterRunResult RunClusterExperiment(const ClusterWorkloadFactory& factory,
   result.stale_forwards = cengine.stale_forwards();
 
   rig.StopEcls();
-  if (tel != nullptr) result.telemetry_dump = tel->registry().Dump();
+  if (options.telemetry != nullptr) {
+    result.telemetry_dump = options.telemetry->registry().Dump();
+  }
   return result;
 }
 

@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 #include "ecl/cluster_ecl.h"
@@ -12,6 +11,7 @@
 #include "engine/cluster_engine.h"
 #include "hwsim/cluster.h"
 #include "sim/simulator.h"
+#include "telemetry/telemetry.h"
 #include "workload/driver.h"
 #include "workload/load_profile.h"
 #include "workload/workload.h"
@@ -44,23 +44,9 @@ struct ClusterRunOptions {
   /// so the default keeps the arrival/query streams bit-identical).
   uint64_t entry_seed = 171717;
   /// Optional telemetry; per-node layers register under "node{N}/",
-  /// cluster-scope metrics unprefixed. Same lifetime rules as
+  /// cluster-scope metrics unprefixed. Same rules as
   /// RunOptions::telemetry.
   telemetry::Telemetry* telemetry = nullptr;
-};
-
-struct ClusterSample {
-  double t_s = 0.0;
-  double offered_qps = 0.0;
-  /// Whole-cluster wall power averaged over the sample period (machine
-  /// RAPL + platform overheads + off/boot power).
-  double power_w = 0.0;
-  int nodes_on = 0;
-  /// Max over nodes of the latency window mean (the cluster pressure
-  /// signal's input).
-  double latency_window_ms = 0.0;
-  std::vector<double> node_power_w;
-  std::vector<int> partitions_on_node;
 };
 
 struct ClusterRunResult {
@@ -84,7 +70,10 @@ struct ClusterRunResult {
   int64_t cancelled_migrations = 0;
   int64_t remote_sends = 0;
   int64_t stale_forwards = 0;
-  std::vector<ClusterSample> series;
+  /// The `exp/cluster/*` gauge series: t_s, offered_qps, power_w (whole
+  /// cluster — machine RAPL + platform overheads + off/boot power —
+  /// averaged over the sample period) and nodes_on.
+  telemetry::Series series;
   std::string telemetry_dump;
 };
 
@@ -96,8 +85,9 @@ using ClusterWorkloadFactory =
 
 /// Runs one end-to-end cluster experiment: N machines + network +
 /// cluster engine, one full per-node ECL stack each, the cluster ECL on
-/// top, an open-loop driver entering queries at their home node, and a
-/// cluster-scope time-series sampler. Deterministic for fixed options.
+/// top, an open-loop driver entering queries at their home node, and the
+/// cluster-scope `exp/cluster/*` gauges sampled into the series.
+/// Deterministic for fixed options.
 ClusterRunResult RunClusterExperiment(const ClusterWorkloadFactory& factory,
                                       const workload::LoadProfile& profile,
                                       const ClusterRunOptions& options);

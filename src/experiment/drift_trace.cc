@@ -1,7 +1,6 @@
 #include "experiment/drift_trace.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -118,7 +117,6 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
 
     bool drift_seen = false;
     double tail_e0 = phase_e0;
-    const bool debug = std::getenv("ECLDB_DRIFT_DEBUG") != nullptr;
     for (int t = 1; t <= phase_secs; ++t) {
       if (t == phase_secs - tail_secs + 1) {
         tail_e0 = machine.TotalEnergyJoules();
@@ -135,18 +133,6 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
       // reevaluation drained what stayed stale.
       const int stale = static_cast<int>(
           socket0.profile().StaleConfigs(sim.now(), stale_age).size());
-      if (debug) {
-        std::fprintf(stderr,
-                     "[drift_trace] ph%d t=%3d stale=%3d cfg=%3d util=%.2f "
-                     "evals=%lld seeded=%lld feat=%s\n",
-                     phase, t, stale, socket0.current_config_index(),
-                     socket0.last_utilization(),
-                     static_cast<long long>(
-                         socket0.maintenance().multiplexed_evals()),
-                     static_cast<long long>(
-                         socket0.maintenance().predictor_seeded_configs()),
-                     socket0.last_features().ToString().c_str());
-      }
       if (socket0.maintenance().drift_flags() > drifts0) drift_seen = true;
       if (drift_seen && ph.adapt_s < 0.0 && stale == 0) {
         ph.adapt_s = static_cast<double>(t);

@@ -4,13 +4,13 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 #include "ecl/ecl.h"
 #include "engine/engine.h"
 #include "hwsim/machine.h"
 #include "sim/simulator.h"
+#include "telemetry/telemetry.h"
 #include "workload/driver.h"
 #include "workload/load_profile.h"
 #include "workload/workload.h"
@@ -44,33 +44,15 @@ struct RunOptions {
   bool fast_forward = true;
   /// Optional telemetry context for the run. The experiment binds it to
   /// the run's simulator, propagates it through every layer (machine,
-  /// engine, ECL), registers the experiment-level gauges the legacy
-  /// sampler reports (exp/offered_qps, exp/rapl_power_w, ...; identical
-  /// arithmetic, so the telemetry series is byte-compatible with
-  /// RunResult.series), and runs the gauge sampler over the measured
-  /// window. Construct it with sample_period equal to
-  /// RunOptions::sample_period for row-for-row equality. Must outlive the
-  /// call; afterwards only its *value* state is safe to read (series,
-  /// trace events, and the dump captured in RunResult::telemetry_dump) —
-  /// gauges reference run-local objects. Each concurrent RunMatrix arm
-  /// needs its own instance.
+  /// engine, ECL), registers the experiment-level `exp/*` gauges on it
+  /// and samples them over the measured window into RunResult::series.
+  /// Without one, the `exp/*` gauges go on a run-local telemetry no layer
+  /// sees. Must be enabled and sample at `sample_period` (the runner
+  /// checks both). Must outlive the call; afterwards only its *value*
+  /// state is safe to read (series, trace events, and the dump captured
+  /// in RunResult::telemetry_dump) — gauges reference run-local objects.
+  /// Each concurrent RunMatrix arm needs its own instance.
   telemetry::Telemetry* telemetry = nullptr;
-};
-
-/// One sample of the experiment time series (Figs. 11, 13-15).
-struct Sample {
-  double t_s = 0.0;
-  double offered_qps = 0.0;
-  double rapl_power_w = 0.0;
-  double latency_window_ms = 0.0;
-  int active_threads = 0;
-  double perf_level_frac = 0.0;  // mean over sockets, relative to peak
-  double utilization = 0.0;      // mean over sockets (ECL view)
-  /// Per-socket average power (package + DRAM) over the sample period;
-  /// consolidation experiments read the donor socket's floor from this.
-  std::vector<double> socket_power_w;
-  /// Partitions homed per socket at the sample instant.
-  std::vector<int> partitions_on_socket;
 };
 
 struct RunResult {
@@ -87,7 +69,13 @@ struct RunResult {
   double max_ms = 0.0;
   /// Fraction of queries above the latency limit.
   double violation_frac = 0.0;
-  std::vector<Sample> series;
+  /// The `exp/*` gauge series (Figs. 11, 13-15), one row per sample
+  /// period: t_s, offered_qps, rapl_power_w, latency_window_ms,
+  /// active_threads, perf_level_frac (mean over sockets, relative to
+  /// peak), utilization (mean over sockets, ECL view), and per socket
+  /// socket{S}/power_w (package + DRAM) and socket{S}/partitions. With
+  /// caller telemetry, the other layers' gauges are columns too.
+  telemetry::Series series;
   /// Most energy-efficient configuration found by socket 0's ECL
   /// (empty string for baseline runs).
   std::string best_config;

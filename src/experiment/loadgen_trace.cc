@@ -1,21 +1,19 @@
 #include "experiment/loadgen_trace.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
-#include <string>
-#include <utility>
 
-#include "common/check.h"
-#include "ecl/baseline.h"
 #include "experiment/cluster_rig.h"
 #include "experiment/drain.h"
+#include "experiment/node_rig.h"
+#include "experiment/run_sampler.h"
 #include "faultsim/fault_injector.h"
 
 namespace ecldb::experiment {
 namespace {
 
-/// Folds the loadgen's per-class accounting into the result struct
-/// (shared by the single-node and cluster runners).
+/// Folds the loadgen's per-class accounting into the result struct.
 void FillLoadgenStats(const loadgen::LoadGen& lg, SloRunResult* result) {
   const loadgen::SloTracker& slo = lg.slo();
   const loadgen::AdmissionController& adm = lg.admission();
@@ -26,13 +24,18 @@ void FillLoadgenStats(const loadgen::LoadGen& lg, SloRunResult* result) {
   result->failed = lg.failed();
   result->retries = lg.retries();
   result->abandoned = lg.abandoned();
+  // Admission counts retry re-offers too, so per-class arrivals come from
+  // the tenants' fresh-arrival counters.
+  for (size_t t = 0; t < lg.num_tenants(); ++t) {
+    const auto c = static_cast<size_t>(lg.tenant_spec(t).slo_class);
+    result->classes[c].arrivals += lg.tenant_arrivals(t);
+  }
   double mean_weighted = 0.0;
   for (int i = 0; i < loadgen::kNumSloClasses; ++i) {
     const auto c = static_cast<loadgen::SloClass>(i);
     SloClassStats& out = result->classes[static_cast<size_t>(i)];
     out.admitted = adm.admitted(c);
     out.shed = adm.shed(c);
-    out.arrivals = out.admitted + out.shed;
     out.completed = slo.completed(c);
     out.violations = slo.violations(c);
     out.mean_ms = slo.latency(c).Mean();
@@ -49,236 +52,116 @@ void FillLoadgenStats(const loadgen::LoadGen& lg, SloRunResult* result) {
   }
 }
 
-}  // namespace
+/// The SLO runner body over either rig (NodeRig or ClusterRig, which
+/// offer the same calls): loadgen wiring, the measured window with its
+/// `exp/*` gauges, the drain and the result fill. `at_start`, when set,
+/// runs at measurement start, just before the loadgen starts.
+template <typename Rig>
+SloRunResult RunSlo(Rig& rig, const loadgen::LoadGenParams& loadgen_params,
+                    double total_load, bool admission_enabled,
+                    const std::function<void(SimTime)>& at_start = nullptr) {
+  telemetry::Telemetry* const tel = rig.telemetry();
+  const SimDuration period = rig.options().sample_period;
+  RunSampler sampler(tel, &rig.simulator(), period);
+  sim::Simulator& simulator = rig.simulator();
+  rig.Prime();
 
-SloRunResult RunSloExperiment(const WorkloadFactory& factory,
-                              const SloRunOptions& options) {
-  const RunOptions& run = options.run;
-  sim::Simulator simulator;
-  simulator.set_fast_forward(run.fast_forward);
-  telemetry::Telemetry* const tel = run.telemetry;
-  if (tel != nullptr) tel->Bind(&simulator);
-  hwsim::Machine machine(&simulator, run.machine);
-  if (tel != nullptr) machine.AttachTelemetry(tel);
-  engine::EngineParams engine_params = run.engine;
-  if (tel != nullptr) engine_params.telemetry = tel;
-  engine::Engine engine(&simulator, &machine, engine_params);
-  std::unique_ptr<workload::Workload> workload = factory(&engine);
-  ECLDB_CHECK(workload != nullptr);
-
-  const double capacity =
-      run.capacity_qps > 0.0
-          ? run.capacity_qps
-          : workload::BaselineCapacityQps(run.machine, *workload);
-
-  ecl::BaselineController baseline(&machine);
-  std::unique_ptr<ecl::EnergyControlLoop> loop;
-  if (run.mode == ControlMode::kEcl) {
-    ecl::EclParams ecl_params = run.ecl;
-    if (tel != nullptr) ecl_params.telemetry = tel;
-    loop = std::make_unique<ecl::EnergyControlLoop>(&simulator, &engine,
-                                                    ecl_params);
-    loop->Start();
-  } else {
-    baseline.Start();
-  }
-  if (run.prime_duration > 0) {
-    engine.scheduler().SetSyntheticLoad(&workload->profile());
-    simulator.RunFor(run.prime_duration);
-    engine.scheduler().SetSyntheticLoad(nullptr);
-  }
-  engine.latency().ResetRunStats();
-
-  loadgen::LoadGenParams lg_params = options.loadgen;
+  loadgen::LoadGenParams lg_params = loadgen_params;
   if (lg_params.telemetry == nullptr) lg_params.telemetry = tel;
-  loadgen::LoadGen lg(&simulator, workload.get(), lg_params);
-  lg.NormalizeToCapacity(capacity, options.total_load);
-  lg.SetSubmitFn(
-      [&engine](engine::QuerySpec&& spec) { engine.Submit(spec); });
-  engine.scheduler().SetCompletionCallback(
+  loadgen::LoadGen lg(&simulator, &rig.workload(), lg_params);
+  lg.NormalizeToCapacity(rig.capacity(), total_load);
+  lg.SetSubmitFn([&rig](engine::QuerySpec&& spec) { rig.Submit(spec); });
+  rig.SetCompletionCallback(
       [&lg](int8_t cls, SimTime arrival, SimTime completion) {
         lg.OnQueryComplete(cls, arrival, completion);
       });
-  engine.scheduler().SetFailureCallback(
-      [&lg](int8_t cls, int16_t tenant, int8_t attempt, SimTime arrival,
-            engine::FailReason reason) {
-        lg.OnQueryFailed(cls, tenant, attempt, arrival, reason);
-      });
-  if (options.admission_enabled && loop != nullptr) {
-    ecl::SystemEcl& system = loop->system();
-    lg.admission().SetPressureSource(
-        [&system] { return system.pressure(); });
-    system.SetShedSignal([&lg, &simulator] {
+  rig.SetFailureCallback([&lg](int8_t cls, int16_t tenant, int8_t attempt,
+                               SimTime arrival, engine::FailReason reason) {
+    lg.OnQueryFailed(cls, tenant, attempt, arrival, reason);
+  });
+  if (admission_enabled) {
+    lg.admission().SetPressureSource([&rig] { return rig.Pressure(); });
+    rig.SetShedSignal([&lg, &simulator] {
       return lg.admission().RecentShedFraction(simulator.now());
     });
   }
 
   SloRunResult result;
-  result.capacity_qps = capacity;
-  const SimTime run_start = simulator.now();
-  const double e0 = machine.TotalEnergyJoules();
-  lg.Start();
-
-  const hwsim::Topology& topo = run.machine.topology;
-  const SimTime run_end = run_start + options.loadgen.duration;
-  double sampler_last_energy = machine.TotalEnergyJoules();
-  if (tel != nullptr) tel->StartSampler(run_start);
-  for (SimTime t = run_start + run.sample_period; t <= run_end;
-       t += run.sample_period) {
-    simulator.Schedule(t, [&, t] {
-      SloSample s;
-      s.t_s = ToSeconds(t - run_start);
-      s.offered_qps = lg.OfferedQps(t);
-      const double e = machine.TotalEnergyJoules();
-      s.power_w = (e - sampler_last_energy) / ToSeconds(run.sample_period);
-      sampler_last_energy = e;
-      s.latency_window_ms = engine.latency().WindowMeanMs();
-      if (loop != nullptr) s.pressure = loop->system().pressure();
-      s.shed_fraction = lg.admission().RecentShedFraction(t);
-      for (SocketId sk = 0; sk < topo.num_sockets; ++sk) {
-        s.width += machine.requested_config(sk).ActiveThreadCount();
-      }
-      result.series.push_back(s);
-    });
-  }
-
-  simulator.RunUntil(run_end);
-  if (tel != nullptr) tel->StopSampler();
-  const double e1 = machine.TotalEnergyJoules();
-  // A submission resolves as a completion or a typed failure — the drain
-  // counts both, so a failed query never spins the watchdog.
-  result.drained = DrainToCompletion(
-      simulator,
-      [&lg] { return lg.slo().total_completed() + lg.failed(); },
-      lg.submitted());
-
-  result.duration_s = ToSeconds(options.loadgen.duration);
-  result.energy_j = e1 - e0;
-  result.avg_power_w = result.energy_j / result.duration_s;
-  FillLoadgenStats(lg, &result);
-  if (loop != nullptr) loop->Stop();
-  if (tel != nullptr) result.telemetry_dump = tel->registry().Dump();
-  return result;
-}
-
-SloRunResult RunClusterSloExperiment(const ClusterWorkloadFactory& factory,
-                                     const ClusterSloRunOptions& options) {
-  ClusterRig rig(factory, options.cluster);
-  sim::Simulator& simulator = rig.simulator();
-  hwsim::Cluster& cluster = rig.cluster();
-  engine::ClusterEngine& cengine = rig.cengine();
-  telemetry::Telemetry* const tel = rig.telemetry();
-  const int num_nodes = rig.num_nodes();
-
-  rig.Prime();
-
-  loadgen::LoadGenParams lg_params = options.loadgen;
-  if (lg_params.telemetry == nullptr) lg_params.telemetry = tel;
-  loadgen::LoadGen lg(&simulator, &rig.workload(), lg_params);
-  lg.NormalizeToCapacity(rig.capacity(), options.total_load);
-  lg.SetSubmitFn([&rig, &cengine](engine::QuerySpec&& spec) {
-    if (spec.work.empty()) return;
-    cengine.Submit(rig.EntryNodeFor(spec), spec);
-  });
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    cengine.node_engine(n).scheduler().SetCompletionCallback(
-        [&lg](int8_t cls, SimTime arrival, SimTime completion) {
-          lg.OnQueryComplete(cls, arrival, completion);
-        });
-  }
-  cengine.SetQueryFailureCallback(
-      [&lg](int8_t cls, int16_t tenant, int8_t attempt, SimTime arrival,
-            engine::FailReason reason) {
-        lg.OnQueryFailed(cls, tenant, attempt, arrival, reason);
-      });
-  if (options.admission_enabled) {
-    lg.admission().SetPressureSource(
-        [&rig] { return rig.MaxNodePressure(); });
-    for (NodeId n = 0; n < num_nodes; ++n) {
-      rig.node_ecl(n).system().SetShedSignal([&lg, &simulator] {
-        return lg.admission().RecentShedFraction(simulator.now());
-      });
-    }
-  }
-
-  SloRunResult result;
   result.capacity_qps = rig.capacity();
   const SimTime run_start = simulator.now();
-
-  // Scripted faults: shift the schedule (authored relative to measurement
-  // start) to absolute virtual time and arm. The injector's node hooks
-  // mirror the cluster ECL's: a crash stops the dead node's ECL before the
-  // engine recovery runs, a completed restart boots it again.
-  std::unique_ptr<faultsim::FaultInjector> injector;
-  if (!options.faults.empty()) {
-    faultsim::FaultInjectorParams fi_params;
-    fi_params.schedule = options.faults;
-    for (faultsim::FaultEvent& e : fi_params.schedule.events) {
-      e.at += run_start;
-    }
-    fi_params.telemetry = tel;
-    injector = std::make_unique<faultsim::FaultInjector>(
-        &simulator, &cluster, &cengine, fi_params);
-    injector->SetNodeHooks(
-        [&rig](NodeId n) { rig.node_ecl(n).Stop(); },
-        [&rig](NodeId n) { rig.node_ecl(n).Start(); });
-    injector->Arm();
-  }
-
-  const double e0 = cluster.TotalEnergyJoules();
+  if (at_start) at_start(run_start);
+  const double e0 = rig.EnergyJ();
   lg.Start();
 
-  const SimTime run_end = run_start + options.loadgen.duration;
-  double sampler_last_energy = cluster.TotalEnergyJoules();
-  if (tel != nullptr) tel->StartSampler(run_start);
-  const SimDuration period = options.cluster.sample_period;
-  for (SimTime t = run_start + period; t <= run_end; t += period) {
-    simulator.Schedule(t, [&, t] {
-      SloSample s;
-      s.t_s = ToSeconds(t - run_start);
-      s.offered_qps = lg.OfferedQps(t);
-      const double e = cluster.TotalEnergyJoules();
-      s.power_w = (e - sampler_last_energy) / ToSeconds(period);
-      sampler_last_energy = e;
-      for (NodeId n = 0; n < num_nodes; ++n) {
-        s.latency_window_ms =
-            std::max(s.latency_window_ms,
-                     cengine.node_engine(n).latency().WindowMeanMs());
-      }
-      s.pressure = rig.MaxNodePressure();
-      s.shed_fraction = lg.admission().RecentShedFraction(t);
-      s.width = cluster.NodesOn();
-      result.series.push_back(s);
-    });
-  }
+  telemetry::MetricRegistry& reg = sampler.registry();
+  reg.AddGauge("exp/offered_qps",
+               [&lg, &simulator] { return lg.OfferedQps(simulator.now()); });
+  sampler.AddPowerGauge("exp/power_w", [&rig] { return rig.EnergyJ(); });
+  reg.AddGauge("exp/latency_window_ms",
+               [&rig] { return rig.LatencyWindowMs(); });
+  reg.AddGauge("exp/pressure", [&rig] { return rig.Pressure(); });
+  reg.AddGauge("exp/shed_fraction", [&lg, &simulator] {
+    return lg.admission().RecentShedFraction(simulator.now());
+  });
+  reg.AddGauge("exp/width",
+               [&rig] { return static_cast<double>(rig.Width()); });
+  sampler.Start(run_start);
 
-  simulator.RunUntil(run_end);
-  if (tel != nullptr) tel->StopSampler();
-  const double e1 = cluster.TotalEnergyJoules();
-  // Completions + typed failures together cover every submission; the
-  // watchdog diagnostic names the per-node backlog when they don't.
+  simulator.RunUntil(run_start + loadgen_params.duration);
+  result.series = sampler.Stop();
+  const double e1 = rig.EnergyJ();
+  // A submission resolves as a completion or a typed failure — the drain
+  // counts both, so a failed query never spins the watchdog, and names
+  // the backlog when they fall short.
   result.drained = DrainToCompletion(
       simulator,
       [&lg] { return lg.slo().total_completed() + lg.failed(); },
       lg.submitted(), Seconds(120), Seconds(45),
-      [&cengine, &cluster, num_nodes] {
-        std::string d = "backlog:";
-        for (NodeId n = 0; n < num_nodes; ++n) {
-          d += " node" + std::to_string(n) + "=" +
-               std::to_string(static_cast<int64_t>(cengine.BacklogOps(n))) +
-               (cluster.IsFailed(n) ? "(failed)" : "");
-        }
-        d += " engine_failed=" + std::to_string(cengine.QueriesFailed());
-        return d;
-      });
+      [&rig] { return rig.DescribeBacklog(); });
 
-  result.duration_s = ToSeconds(options.loadgen.duration);
+  result.duration_s = ToSeconds(loadgen_params.duration);
   result.energy_j = e1 - e0;
   result.avg_power_w = result.energy_j / result.duration_s;
   FillLoadgenStats(lg, &result);
   rig.StopEcls();
   if (tel != nullptr) result.telemetry_dump = tel->registry().Dump();
   return result;
+}
+
+}  // namespace
+
+SloRunResult RunSloExperiment(const WorkloadFactory& factory,
+                              const SloRunOptions& options) {
+  NodeRig rig(factory, options.run);
+  return RunSlo(rig, options.loadgen, options.total_load,
+                options.admission_enabled);
+}
+
+SloRunResult RunClusterSloExperiment(const ClusterWorkloadFactory& factory,
+                                     const ClusterSloRunOptions& options) {
+  ClusterRig rig(factory, options.cluster);
+  // Scripted faults: shift the schedule (authored relative to measurement
+  // start) to absolute virtual time and arm. The injector's node hooks
+  // mirror the cluster ECL's: a crash stops the dead node's ECL before the
+  // engine recovery runs, a completed restart boots it again.
+  std::unique_ptr<faultsim::FaultInjector> injector;
+  auto arm_faults = [&](SimTime run_start) {
+    if (options.faults.empty()) return;
+    faultsim::FaultInjectorParams fi_params;
+    fi_params.schedule = options.faults;
+    for (faultsim::FaultEvent& e : fi_params.schedule.events) {
+      e.at += run_start;
+    }
+    fi_params.telemetry = rig.telemetry();
+    injector = std::make_unique<faultsim::FaultInjector>(
+        &rig.simulator(), &rig.cluster(), &rig.cengine(), fi_params);
+    injector->SetNodeHooks(
+        [&rig](NodeId n) { rig.node_ecl(n).Stop(); },
+        [&rig](NodeId n) { rig.node_ecl(n).Start(); });
+    injector->Arm();
+  };
+  return RunSlo(rig, options.loadgen, options.total_load,
+                options.admission_enabled, arm_faults);
 }
 
 }  // namespace ecldb::experiment

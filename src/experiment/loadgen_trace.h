@@ -3,7 +3,6 @@
 
 #include <array>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 #include "experiment/cluster_trace.h"
@@ -15,6 +14,8 @@ namespace ecldb::experiment {
 
 /// One SLO class's outcome over a run.
 struct SloClassStats {
+  /// Fresh arrivals of the class's tenants (retry re-offers excluded, so
+  /// the classes sum to SloRunResult::arrivals).
   int64_t arrivals = 0;
   int64_t admitted = 0;
   int64_t shed = 0;
@@ -26,19 +27,6 @@ struct SloClassStats {
   double deadline_ms = 0.0;
   double target_percentile = 0.0;
   bool slo_met = true;
-};
-
-/// One sample of the SLO-run time series. `width` is the machine's active
-/// hardware threads (single-node) or powered-on nodes (cluster) — the
-/// knob the ECL narrows when shedding reduces visible demand.
-struct SloSample {
-  double t_s = 0.0;
-  double offered_qps = 0.0;
-  double power_w = 0.0;
-  double latency_window_ms = 0.0;
-  double pressure = 0.0;
-  double shed_fraction = 0.0;
-  int width = 0;
 };
 
 struct SloRunResult {
@@ -62,7 +50,12 @@ struct SloRunResult {
   /// Arrivals given up on (attempts exhausted or past the trace horizon).
   int64_t abandoned = 0;
   std::array<SloClassStats, loadgen::kNumSloClasses> classes;
-  std::vector<SloSample> series;
+  /// The `exp/*` gauge series: t_s, offered_qps, power_w (averaged over
+  /// the sample period), latency_window_ms, pressure (the admission
+  /// signal), shed_fraction, and width — the machine's active hardware
+  /// threads (single-node) or powered-on nodes (cluster), the knob the
+  /// ECL narrows when shedding reduces visible demand.
+  telemetry::Series series;
   std::string telemetry_dump;
   /// False when the post-trace drain hit its cap with queries missing.
   bool drained = true;
@@ -84,8 +77,8 @@ struct SloRunOptions {
 };
 
 /// Runs one single-node SLO-tier experiment: the RunLoadExperiment system
-/// stack, driven by the open-loop multi-tenant traffic subsystem instead
-/// of a LoadProfile. Deterministic for fixed options.
+/// stack (NodeRig), driven by the open-loop multi-tenant traffic
+/// subsystem instead of a LoadProfile. Deterministic for fixed options.
 SloRunResult RunSloExperiment(const WorkloadFactory& factory,
                               const SloRunOptions& options);
 
@@ -104,9 +97,10 @@ struct ClusterSloRunOptions {
   faultsim::FaultSchedule faults;
 };
 
-/// Cluster analogue: the ClusterRig system stack under loadgen traffic.
-/// Admission pressure is the max over the per-node system-ECL pressures,
-/// and the shed signal feeds back into every node's system ECL.
+/// Cluster analogue: the ClusterRig system stack under loadgen traffic,
+/// run by the same body as RunSloExperiment. Admission pressure is the
+/// max over the per-node system-ECL pressures, and the shed signal feeds
+/// back into every node's system ECL.
 SloRunResult RunClusterSloExperiment(const ClusterWorkloadFactory& factory,
                                      const ClusterSloRunOptions& options);
 

@@ -81,27 +81,20 @@ bool WriteChromeTrace(const Telemetry& telemetry, const std::string& path) {
   return ok;
 }
 
-bool WriteSeriesCsv(const Telemetry& telemetry, const std::string& path,
+bool WriteSeriesCsv(const Series& series, const std::string& path,
                     const std::vector<std::string>& columns,
                     const std::vector<std::string>& rename) {
   if (!rename.empty() && rename.size() != columns.size()) return false;
-  const std::vector<std::string> header = telemetry.SeriesHeader();
   std::vector<size_t> select;
   std::vector<std::string> out_header;
   if (columns.empty()) {
-    for (size_t i = 0; i < header.size(); ++i) select.push_back(i);
-    out_header = header;
+    for (size_t i = 0; i < series.header.size(); ++i) select.push_back(i);
+    out_header = series.header;
   } else {
     for (const std::string& want : columns) {
-      size_t idx = header.size();
-      for (size_t i = 0; i < header.size(); ++i) {
-        if (header[i] == want) {
-          idx = i;
-          break;
-        }
-      }
-      if (idx == header.size()) return false;
-      select.push_back(idx);
+      const int idx = series.Find(want);
+      if (idx < 0) return false;
+      select.push_back(static_cast<size_t>(idx));
       out_header.push_back(rename.empty() ? want
                                           : rename[select.size() - 1]);
     }
@@ -109,7 +102,7 @@ bool WriteSeriesCsv(const Telemetry& telemetry, const std::string& path,
   CsvWriter csv(path, out_header);
   if (!csv.ok()) return false;
   std::vector<double> row(select.size());
-  for (const std::vector<double>& sample : telemetry.series()) {
+  for (const std::vector<double>& sample : series.rows) {
     for (size_t i = 0; i < select.size(); ++i) row[i] = sample[select[i]];
     csv.AddNumericRow(row);
   }

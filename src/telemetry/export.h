@@ -20,16 +20,15 @@ std::string ChromeTraceJson(const Telemetry& telemetry);
 /// Returns false if the file could not be written.
 bool WriteChromeTrace(const Telemetry& telemetry, const std::string& path);
 
-/// Writes the sampled gauge series as CSV. `columns` selects and orders
+/// Writes a sampled gauge series as CSV. `columns` selects and orders
 /// the columns by series-header name ("t_s" and gauge names); an empty
 /// list exports every column in sampling order. Numeric formatting is
-/// CsvWriter::AddNumericRow (%.10g) — byte-compatible with the bespoke
-/// per-figure exporters this replaces. `rename`, when non-empty, gives
-/// the output header names (parallel to `columns`) so a generic gauge
-/// like "exp/offered_qps" can export under the legacy plot-script name
+/// CsvWriter::AddNumericRow (%.10g). `rename`, when non-empty, gives the
+/// output header names (parallel to `columns`) so a generic gauge like
+/// "exp/offered_qps" can export under the plot-script name
 /// "offered_qps". Returns false on unknown column names, a rename-size
 /// mismatch, or file errors.
-bool WriteSeriesCsv(const Telemetry& telemetry, const std::string& path,
+bool WriteSeriesCsv(const Series& series, const std::string& path,
                     const std::vector<std::string>& columns = {},
                     const std::vector<std::string>& rename = {});
 

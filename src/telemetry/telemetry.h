@@ -29,6 +29,26 @@ struct TelemetryParams {
   size_t trace_capacity = 1 << 16;
 };
 
+/// A sampled gauge time series: column names ("t_s", then the gauge names
+/// frozen at StartSampler in registration order) and one row per sample
+/// instant, row[0] being t_s relative to the sampler origin. A plain value
+/// type: safe to copy out of a run and read after its objects are gone.
+struct Series {
+  std::vector<std::string> header;
+  std::vector<std::vector<double>> rows;
+
+  size_t size() const { return rows.size(); }
+  bool empty() const { return rows.empty(); }
+  /// Index of the column named `name`, or -1 when absent.
+  int Find(const std::string& name) const;
+  /// Value of column `name` in row `row`; aborts on an unknown column.
+  double At(size_t row, const std::string& name) const;
+  /// Every row's value of column `name`; aborts on an unknown column.
+  std::vector<double> Column(const std::string& name) const;
+
+  bool operator==(const Series&) const = default;
+};
+
 /// The shared telemetry context of one simulation: a metric registry, a
 /// trace recorder, and a sim-time gauge sampler. One instance is shared
 /// by all layers (hwsim, msg, engine, ecl) of one run; components receive
@@ -80,10 +100,8 @@ class Telemetry {
   /// Takes one sample row immediately (also used by the periodic events).
   void SampleNow();
 
-  /// Series column names: "t_s" followed by the sampled gauge names.
-  std::vector<std::string> SeriesHeader() const;
-  /// Sampled rows; row[0] is t_s relative to the sampler origin.
-  const std::vector<std::vector<double>>& series() const { return series_; }
+  /// The sampled series (empty header until StartSampler).
+  const Series& series() const { return series_; }
 
  private:
   void ScheduleNext();
@@ -95,8 +113,7 @@ class Telemetry {
   bool sampling_ = false;
   SimTime origin_ = 0;
   SimTime next_sample_ = 0;
-  int series_gauges_ = 0;  // column count frozen at StartSampler
-  std::vector<std::vector<double>> series_;
+  Series series_;
 };
 
 /// Returns a registry-backed counter when `t` is non-null, otherwise a

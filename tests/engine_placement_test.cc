@@ -290,14 +290,12 @@ TEST(ConsolidationTest, LowLoadEmptiesAndParksASocket) {
   EXPECT_GT(r.migrations, 0);
   EXPECT_GT(r.consolidation_moves, 0);
   ASSERT_FALSE(r.series.empty());
-  const experiment::Sample& last = r.series.back();
-  ASSERT_EQ(last.partitions_on_socket.size(), 2u);
-  const int min_parts = std::min(last.partitions_on_socket[0],
-                                 last.partitions_on_socket[1]);
-  const int max_parts = std::max(last.partitions_on_socket[0],
-                                 last.partitions_on_socket[1]);
-  EXPECT_EQ(min_parts, 0);
-  EXPECT_EQ(max_parts, 48);
+  const size_t last = r.series.size() - 1;
+  EXPECT_EQ(r.series.Find("exp/socket2/partitions"), -1);  // two sockets
+  const double parts0 = r.series.At(last, "exp/socket0/partitions");
+  const double parts1 = r.series.At(last, "exp/socket1/partitions");
+  EXPECT_EQ(std::min(parts0, parts1), 0.0);
+  EXPECT_EQ(std::max(parts0, parts1), 48.0);
   // ...without losing queries or the latency limit.
   EXPECT_EQ(r.completed, r.submitted);
   EXPECT_LT(r.p99_ms, options.ecl.system.latency_limit_ms);
@@ -306,8 +304,9 @@ TEST(ConsolidationTest, LowLoadEmptiesAndParksASocket) {
   // The shallow idle state would add another 9 W and any active
   // configuration adds core power on top, so < 25 W demonstrates the
   // socket actually reached the deep state.
-  double min_socket_w = 1e9;
-  for (double w : last.socket_power_w) min_socket_w = std::min(min_socket_w, w);
+  const double min_socket_w =
+      std::min(r.series.At(last, "exp/socket0/power_w"),
+               r.series.At(last, "exp/socket1/power_w"));
   EXPECT_LT(min_socket_w, 25.0);
 }
 
@@ -355,10 +354,10 @@ TEST(ConsolidationTest, PressureSpreadsPartitionsBack) {
   EXPECT_GT(r.consolidation_moves, 0);
   EXPECT_GT(r.spread_moves, 0);
   ASSERT_FALSE(r.series.empty());
-  const experiment::Sample& last = r.series.back();
+  const size_t last = r.series.size() - 1;
   // Both sockets populated again at the end of the high phase.
-  EXPECT_GT(last.partitions_on_socket[0], 0);
-  EXPECT_GT(last.partitions_on_socket[1], 0);
+  EXPECT_GT(r.series.At(last, "exp/socket0/partitions"), 0.0);
+  EXPECT_GT(r.series.At(last, "exp/socket1/partitions"), 0.0);
   EXPECT_EQ(r.completed, r.submitted);
 }
 

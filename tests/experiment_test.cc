@@ -45,12 +45,13 @@ TEST(ExperimentTest, SeriesCoversTheRun) {
   options.sample_period = Millis(500);
   const RunResult r = RunLoadExperiment(MicroFactory(), profile, options);
   ASSERT_EQ(r.series.size(), 20u);
-  EXPECT_NEAR(r.series.front().t_s, 0.5, 1e-9);
-  EXPECT_NEAR(r.series.back().t_s, 10.0, 1e-9);
-  for (const Sample& s : r.series) {
-    EXPECT_GT(s.rapl_power_w, 0.0);
-    EXPECT_GT(s.offered_qps, 0.0);
-    EXPECT_EQ(s.active_threads, 48);  // baseline: everything on
+  EXPECT_NEAR(r.series.At(0, "t_s"), 0.5, 1e-9);
+  EXPECT_NEAR(r.series.At(19, "t_s"), 10.0, 1e-9);
+  for (size_t i = 0; i < r.series.size(); ++i) {
+    EXPECT_GT(r.series.At(i, "exp/rapl_power_w"), 0.0);
+    EXPECT_GT(r.series.At(i, "exp/offered_qps"), 0.0);
+    // Baseline: everything on.
+    EXPECT_EQ(r.series.At(i, "exp/active_threads"), 48.0);
   }
 }
 

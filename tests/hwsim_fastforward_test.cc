@@ -150,16 +150,11 @@ void ExpectResultsIdentical(const experiment::RunResult& a,
   EXPECT_EQ(a.max_ms, b.max_ms);
   EXPECT_EQ(a.violation_frac, b.violation_frac);
   EXPECT_EQ(a.best_config, b.best_config);
+  // Whole rows, every column (per-socket power and partitions included).
+  EXPECT_EQ(a.series.header, b.series.header);
   ASSERT_EQ(a.series.size(), b.series.size());
   for (size_t i = 0; i < a.series.size(); ++i) {
-    EXPECT_EQ(a.series[i].t_s, b.series[i].t_s) << i;
-    EXPECT_EQ(a.series[i].offered_qps, b.series[i].offered_qps) << i;
-    EXPECT_EQ(a.series[i].rapl_power_w, b.series[i].rapl_power_w) << i;
-    EXPECT_EQ(a.series[i].latency_window_ms, b.series[i].latency_window_ms)
-        << i;
-    EXPECT_EQ(a.series[i].active_threads, b.series[i].active_threads) << i;
-    EXPECT_EQ(a.series[i].perf_level_frac, b.series[i].perf_level_frac) << i;
-    EXPECT_EQ(a.series[i].utilization, b.series[i].utilization) << i;
+    EXPECT_EQ(a.series.rows[i], b.series.rows[i]) << i;
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -499,11 +500,32 @@ TEST(LoadgenRunTest, FastForwardIsBitIdentical) {
     EXPECT_EQ(ff.classes[static_cast<size_t>(c)].violations,
               slow.classes[static_cast<size_t>(c)].violations);
   }
+  // Whole rows, every column.
+  EXPECT_EQ(ff.series.header, slow.series.header);
   ASSERT_EQ(ff.series.size(), slow.series.size());
   for (size_t i = 0; i < ff.series.size(); ++i) {
-    EXPECT_DOUBLE_EQ(ff.series[i].power_w, slow.series[i].power_w);
-    EXPECT_DOUBLE_EQ(ff.series[i].offered_qps, slow.series[i].offered_qps);
+    EXPECT_EQ(ff.series.rows[i], slow.series.rows[i]) << i;
   }
+}
+
+TEST(LoadgenRunTest, ClassArrivalsExcludeRetryReoffers) {
+  // Regression: per-class arrivals were admitted + shed, and retry
+  // re-offers pass admission too, so with retries on the classes summed
+  // to arrivals + retries.
+  experiment::SloRunOptions options = SmallSloOptions();
+  options.total_load = 2.5;  // far past capacity: shedding drives retries
+  options.loadgen.retry.enabled = true;
+  const experiment::SloRunResult r = RunSloExperiment(KvFactory(), options);
+  ASSERT_GT(r.retries, 0);
+  int64_t class_arrivals = 0;
+  int64_t class_decisions = 0;
+  for (const experiment::SloClassStats& c : r.classes) {
+    class_arrivals += c.arrivals;
+    class_decisions += c.admitted + c.shed;
+  }
+  EXPECT_EQ(class_arrivals, r.arrivals);
+  EXPECT_EQ(class_decisions, r.arrivals + r.retries);
+  EXPECT_EQ(r.classes[1].arrivals, 0);  // no standard tenant configured
 }
 
 TEST(LoadgenRunTest, CompletionsBalanceAndClassesAreServed) {
@@ -636,6 +658,77 @@ TEST(LoadgenClusterTest, AnyNodeEntryForwardsAndStaysDeterministic) {
   EXPECT_EQ(again.remote_sends, any.remote_sends);
   EXPECT_EQ(again.stale_forwards, any.stale_forwards);
   EXPECT_DOUBLE_EQ(again.energy_j, any.energy_j);
+}
+
+// ---------------------------------------------------------------------------
+// Cluster SLO runs under scripted faults
+// ---------------------------------------------------------------------------
+
+experiment::ClusterSloRunOptions CrashRestartOptions(
+    telemetry::Telemetry* tel, bool fast_forward) {
+  experiment::ClusterSloRunOptions options;
+  hwsim::ClusterNodeParams node;
+  node.power.boot_latency = Seconds(2);  // the restart boots within the run
+  options.cluster.cluster = hwsim::ClusterParams::Homogeneous(3, node);
+  options.cluster.prime_duration = Seconds(3);
+  options.cluster.fast_forward = fast_forward;
+  options.cluster.telemetry = tel;
+  options.loadgen = SmallSloOptions().loadgen;
+  options.total_load = 0.3;
+  options.faults.Crash(Seconds(3), 1).Restart(Seconds(5), 1);
+  return options;
+}
+
+int64_t DumpCounter(const std::string& dump, const std::string& name) {
+  const std::string key = "counter " + name + " ";
+  const size_t at = dump.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(dump.substr(at + key.size()));
+}
+
+TEST(LoadgenClusterTest, CrashRestartRunConservesQueriesAndIsDeterministic) {
+  auto run = [](bool fast_forward, std::string* dump) {
+    telemetry::TelemetryParams tp;
+    tp.enabled = true;
+    telemetry::Telemetry tel(tp);
+    const experiment::SloRunResult r = RunClusterSloExperiment(
+        ClusterKvFactory(), CrashRestartOptions(&tel, fast_forward));
+    *dump = r.telemetry_dump;
+    return r;
+  };
+  std::string dump;
+  const experiment::SloRunResult r = run(true, &dump);
+  EXPECT_TRUE(r.drained);
+  EXPECT_GT(r.completed, 0);
+  // The crash fails the dead node's in-flight queries back to the client;
+  // every submission resolves exactly once.
+  EXPECT_GT(r.failed, 0);
+  EXPECT_GT(DumpCounter(dump, "faults/crashes"), 0);
+  EXPECT_EQ(DumpCounter(dump, "loadgen/submitted"), r.completed + r.failed);
+  for (const char* name :
+       {"exp/offered_qps", "exp/power_w", "exp/latency_window_ms",
+        "exp/pressure", "exp/shed_fraction", "exp/width"}) {
+    EXPECT_GE(r.series.Find(name), 0) << name;
+  }
+  // The crashed node is down at some sample and back by the end.
+  const std::vector<double> width = r.series.Column("exp/width");
+  EXPECT_EQ(*std::min_element(width.begin(), width.end()), 2.0);
+  EXPECT_EQ(width.back(), 3.0);
+
+  // Same options, same run: dump and series byte for byte.
+  std::string again_dump;
+  const experiment::SloRunResult again = run(true, &again_dump);
+  EXPECT_EQ(again_dump, dump);
+  EXPECT_EQ(again.series, r.series);
+
+  // Fast-forward off: identical series rows.
+  std::string slow_dump;
+  const experiment::SloRunResult slow = run(false, &slow_dump);
+  EXPECT_EQ(slow.series.header, r.series.header);
+  ASSERT_EQ(slow.series.size(), r.series.size());
+  for (size_t i = 0; i < r.series.size(); ++i) {
+    EXPECT_EQ(slow.series.rows[i], r.series.rows[i]) << i;
+  }
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/csv_writer.h"
 #include "ecl/ecl.h"
 #include "engine/engine.h"
 #include "experiment/experiment.h"
@@ -246,14 +245,15 @@ TEST(SamplerTest, SamplesEveryPeriodRelativeToOrigin) {
   sim.RunFor(Seconds(1));  // origin != 0
   tel.StartSampler(sim.now());
   sim.RunFor(Millis(2500));
-  ASSERT_EQ(tel.series().size(), 5u);
-  const std::vector<std::string> header = tel.SeriesHeader();
-  ASSERT_EQ(header.size(), 2u);
-  EXPECT_EQ(header[0], "t_s");
-  EXPECT_EQ(header[1], "t_echo");
-  EXPECT_DOUBLE_EQ(tel.series()[0][0], 0.5);   // relative to origin
-  EXPECT_DOUBLE_EQ(tel.series()[0][1], 1.5);   // absolute sim time
-  EXPECT_DOUBLE_EQ(tel.series()[4][0], 2.5);
+  const Series& series = tel.series();
+  ASSERT_EQ(series.size(), 5u);
+  EXPECT_EQ(series.header, (std::vector<std::string>{"t_s", "t_echo"}));
+  EXPECT_DOUBLE_EQ(series.At(0, "t_s"), 0.5);     // relative to origin
+  EXPECT_DOUBLE_EQ(series.At(0, "t_echo"), 1.5);  // absolute sim time
+  EXPECT_DOUBLE_EQ(series.At(4, "t_s"), 2.5);
+  EXPECT_EQ(series.Find("missing"), -1);
+  EXPECT_EQ(series.Column("t_s"),
+            (std::vector<double>{0.5, 1.0, 1.5, 2.0, 2.5}));
   tel.StopSampler();
   sim.RunFor(Seconds(1));
   EXPECT_EQ(tel.series().size(), 5u);  // no rows after stop
@@ -343,7 +343,7 @@ TEST(EclTelemetryTest, PollExclusionLowersTheMeasuredRate) {
 }
 
 // ---------------------------------------------------------------------------
-// Experiment integration: series equality, CSV byte-compat, determinism
+// Experiment integration: run-local vs caller series, CSV, determinism
 // ---------------------------------------------------------------------------
 
 experiment::WorkloadFactory MicroFactory() {
@@ -360,48 +360,34 @@ std::unique_ptr<Telemetry> MakeRunTelemetry() {
   return std::make_unique<Telemetry>(tp);
 }
 
-TEST(ExperimentTelemetryTest, SeriesMatchesLegacySamplerExactly) {
+experiment::RunResult SeriesRun(Telemetry* tel) {
   workload::ConstantProfile profile(0.4, Seconds(8));
   experiment::RunOptions options;
   options.mode = experiment::ControlMode::kEcl;
   options.prime_duration = Seconds(3);
-  std::unique_ptr<Telemetry> tel = MakeRunTelemetry();
-  options.telemetry = tel.get();
-  const experiment::RunResult r =
-      experiment::RunLoadExperiment(MicroFactory(), profile, options);
+  options.telemetry = tel;
+  return experiment::RunLoadExperiment(MicroFactory(), profile, options);
+}
 
-  ASSERT_EQ(tel->series().size(), r.series.size());
-  const std::vector<std::string> header = tel->SeriesHeader();
-  auto col = [&header](const std::string& name) {
-    for (size_t i = 0; i < header.size(); ++i) {
-      if (header[i] == name) return i;
-    }
-    ADD_FAILURE() << "missing column " << name;
-    return size_t{0};
-  };
-  const size_t c_qps = col("exp/offered_qps");
-  const size_t c_power = col("exp/rapl_power_w");
-  const size_t c_lat = col("exp/latency_window_ms");
-  const size_t c_thr = col("exp/active_threads");
-  const size_t c_perf = col("exp/perf_level_frac");
-  const size_t c_util = col("exp/utilization");
-  const size_t c_s0 = col("exp/socket0/power_w");
-  const size_t c_p1 = col("exp/socket1/partitions");
-  for (size_t i = 0; i < r.series.size(); ++i) {
-    const experiment::Sample& s = r.series[i];
-    const std::vector<double>& row = tel->series()[i];
-    // Exact equality: the gauges replay the legacy sampler's arithmetic.
-    EXPECT_EQ(row[0], s.t_s);
-    EXPECT_EQ(row[c_qps], s.offered_qps);
-    EXPECT_EQ(row[c_power], s.rapl_power_w);
-    EXPECT_EQ(row[c_lat], s.latency_window_ms);
-    EXPECT_EQ(row[c_thr], static_cast<double>(s.active_threads));
-    EXPECT_EQ(row[c_perf], s.perf_level_frac);
-    EXPECT_EQ(row[c_util], s.utilization);
-    EXPECT_EQ(row[c_s0], s.socket_power_w[0]);
-    EXPECT_EQ(row[c_p1], static_cast<double>(s.partitions_on_socket[1]));
+TEST(ExperimentTelemetryTest, SeriesIsTheSameWithOrWithoutCallerTelemetry) {
+  // Without caller telemetry the exp/* gauges sample on a run-local one;
+  // with it they share the caller's registry with every layer's gauges.
+  // Either way the exp/* columns and the run itself are identical.
+  const experiment::RunResult local = SeriesRun(nullptr);
+  std::unique_ptr<Telemetry> tel = MakeRunTelemetry();
+  const experiment::RunResult shared = SeriesRun(tel.get());
+
+  EXPECT_TRUE(local.telemetry_dump.empty());
+  EXPECT_FALSE(shared.telemetry_dump.empty());
+  EXPECT_EQ(shared.series, tel->series());
+  EXPECT_EQ(local.energy_j, shared.energy_j);
+  EXPECT_EQ(local.p99_ms, shared.p99_ms);
+  ASSERT_EQ(local.series.size(), 16u);
+  ASSERT_EQ(local.series.header.size(), 11u);  // t_s + 6 + 2 per socket
+  EXPECT_GT(shared.series.header.size(), local.series.header.size());
+  for (const std::string& name : local.series.header) {
+    EXPECT_EQ(local.series.Column(name), shared.series.Column(name)) << name;
   }
-  EXPECT_FALSE(r.telemetry_dump.empty());
 }
 
 std::string Slurp(const std::string& path) {
@@ -415,42 +401,31 @@ std::string Slurp(const std::string& path) {
   return data;
 }
 
-TEST(ExperimentTelemetryTest, SeriesCsvIsByteIdenticalToBespokeExporter) {
-  workload::ConstantProfile profile(0.4, Seconds(6));
-  experiment::RunOptions options;
-  options.mode = experiment::ControlMode::kEcl;
-  options.prime_duration = Seconds(3);
-  std::unique_ptr<Telemetry> tel = MakeRunTelemetry();
-  options.telemetry = tel.get();
-  const experiment::RunResult r =
-      experiment::RunLoadExperiment(MicroFactory(), profile, options);
+TEST(ExperimentTelemetryTest, SeriesCsvSelectsAndRenamesColumns) {
+  Series series;
+  series.header = {"t_s", "exp/a", "exp/b"};
+  series.rows = {{0.5, 1.25, 7.0}, {1.0, 2.5, 8.0}};
+  const std::string path = "telemetry_test_out/series.csv";
+  ASSERT_TRUE(WriteSeriesCsv(series, path, {"t_s", "exp/b"}, {"t_s", "b"}));
+  EXPECT_EQ(Slurp(path), "t_s,b\n0.5,7\n1,8\n");
+  ASSERT_TRUE(WriteSeriesCsv(series, path));
+  EXPECT_EQ(Slurp(path), "t_s,exp/a,exp/b\n0.5,1.25,7\n1,2.5,8\n");
+  EXPECT_FALSE(WriteSeriesCsv(series, path, {"exp/missing"}));
+  EXPECT_FALSE(WriteSeriesCsv(series, path, {"t_s"}, {"t_s", "extra"}));
+}
 
-  // The bespoke exporter every figure bench used before telemetry
-  // (bench_common.h ExportSeries), replicated verbatim.
-  const std::string legacy_path = "telemetry_test_out/legacy.csv";
-  {
-    CsvWriter csv(legacy_path,
-                  {"t_s", "offered_qps", "rapl_power_w", "latency_window_ms",
-                   "active_threads", "perf_level_frac", "utilization"});
-    ASSERT_TRUE(csv.ok());
-    for (const experiment::Sample& s : r.series) {
-      csv.AddNumericRow({s.t_s, s.offered_qps, s.rapl_power_w,
-                         s.latency_window_ms,
-                         static_cast<double>(s.active_threads),
-                         s.perf_level_frac, s.utilization});
-    }
-  }
-  const std::string generic_path = "telemetry_test_out/telemetry.csv";
-  ASSERT_TRUE(WriteSeriesCsv(
-      *tel, generic_path,
-      {"t_s", "exp/offered_qps", "exp/rapl_power_w", "exp/latency_window_ms",
-       "exp/active_threads", "exp/perf_level_frac", "exp/utilization"},
-      {"t_s", "offered_qps", "rapl_power_w", "latency_window_ms",
-       "active_threads", "perf_level_frac", "utilization"}));
-  const std::string legacy = Slurp(legacy_path);
-  const std::string generic = Slurp(generic_path);
-  ASSERT_FALSE(legacy.empty());
-  EXPECT_EQ(legacy, generic);
+TEST(ExperimentTelemetryDeathTest, DisabledCallerTelemetryAborts) {
+  TelemetryParams tp;  // enabled = false: it would sample no series
+  Telemetry tel(tp);
+  EXPECT_DEATH(SeriesRun(&tel), "disabled");
+}
+
+TEST(ExperimentTelemetryDeathTest, MismatchedSamplePeriodAborts) {
+  TelemetryParams tp;
+  tp.enabled = true;
+  tp.sample_period = Seconds(1);  // the run samples every 500 ms
+  Telemetry tel(tp);
+  EXPECT_DEATH(SeriesRun(&tel), "sample_period");
 }
 
 struct ArmArtifacts {
