@@ -1,6 +1,7 @@
 #include "engine/txn_scheduler.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -15,8 +16,12 @@ TxnScheduler::TxnScheduler(sim::Simulator* simulator, hwsim::Machine* machine,
       workers_(static_cast<size_t>(machine->topology().total_threads())),
       latency_(params.latency_window) {
   ECLDB_CHECK(simulator != nullptr && machine != nullptr && db != nullptr);
-  simulator_->RegisterAdvancer(
-      [this](SimTime t0, SimTime t1) { Advance(t0, t1); });
+  // Advance-only: the scheduler reports no stationarity horizon and has no
+  // fast-forward hook, so registering it disables fast-forward for the
+  // whole simulation (every run that builds one is slice-stepped).
+  sim::Advancer advancer;
+  advancer.advance = [this](SimTime t0, SimTime t1) { Advance(t0, t1); };
+  simulator_->RegisterAdvancer(std::move(advancer));
 }
 
 QueryId TxnScheduler::Submit(const QuerySpec& spec) {

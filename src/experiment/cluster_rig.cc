@@ -160,43 +160,4 @@ std::string ClusterRig::DescribeBacklog() const {
   return d;
 }
 
-ClusterLoadDriver::ClusterLoadDriver(ClusterRig* rig,
-                                     const workload::LoadProfile* profile,
-                                     const workload::DriverParams& params)
-    : rig_(rig), profile_(profile), params_(params), rng_(params.seed) {
-  ECLDB_CHECK(rig != nullptr && profile != nullptr);
-  ECLDB_CHECK(params.capacity_qps > 0.0);
-}
-
-void ClusterLoadDriver::Start() {
-  start_time_ = rig_->simulator().now();
-  ScheduleNext();
-}
-
-void ClusterLoadDriver::ScheduleNext() {
-  sim::Simulator& simulator = rig_->simulator();
-  const SimTime rel = simulator.now() - start_time_;
-  if (rel >= profile_->duration()) return;
-  const double rate = profile_->LoadAt(rel) * params_.capacity_qps;
-  if (rate <= 1e-9) {
-    simulator.ScheduleAfter(Millis(50), [this] { ScheduleNext(); });
-    return;
-  }
-  const double gap_s =
-      params_.poisson ? rng_.NextExponential(rate) : 1.0 / rate;
-  const SimDuration gap = std::max<SimDuration>(
-      Nanos(100), static_cast<SimDuration>(gap_s * 1e9));
-  simulator.ScheduleAfter(gap, [this] {
-    const SimTime t = rig_->simulator().now() - start_time_;
-    if (t < profile_->duration()) {
-      const engine::QuerySpec spec = rig_->workload().MakeQuery(rng_);
-      if (!spec.work.empty()) {
-        rig_->Submit(spec);
-        ++submitted_;
-      }
-    }
-    ScheduleNext();
-  });
-}
-
 }  // namespace ecldb::experiment

@@ -15,8 +15,6 @@
 #include "experiment/cluster_trace.h"
 #include "hwsim/cluster.h"
 #include "sim/simulator.h"
-#include "workload/driver.h"
-#include "workload/load_profile.h"
 #include "workload/workload.h"
 
 namespace ecldb::experiment {
@@ -93,36 +91,6 @@ class ClusterRig {
   std::vector<std::unique_ptr<ecl::EnergyControlLoop>> node_ecls_;
   std::unique_ptr<ecl::ClusterEcl> cluster_ecl_;
   Rng entry_rng_;
-};
-
-/// Open-loop driver for the cluster: same arrival process as
-/// workload::LoadDriver, but each query enters the system through the
-/// rig's routing mode — at its home node by default (partition-aware
-/// client routing — clients know the placement the way the paper's clients
-/// know the socket of a partition), or at a random powered-on node in
-/// any-node mode. Work for partitions that moved since the routing table
-/// was read still crosses the network as a stale forward.
-class ClusterLoadDriver {
- public:
-  ClusterLoadDriver(ClusterRig* rig, const workload::LoadProfile* profile,
-                    const workload::DriverParams& params);
-
-  void Start();
-
-  int64_t submitted() const { return submitted_; }
-  double OfferedQps(SimTime t) const {
-    return profile_->LoadAt(t - start_time_) * params_.capacity_qps;
-  }
-
- private:
-  void ScheduleNext();
-
-  ClusterRig* rig_;
-  const workload::LoadProfile* profile_;
-  workload::DriverParams params_;
-  Rng rng_;
-  SimTime start_time_ = 0;
-  int64_t submitted_ = 0;
 };
 
 }  // namespace ecldb::experiment

@@ -25,7 +25,10 @@ ClusterRunResult RunClusterExperiment(const ClusterWorkloadFactory& factory,
   workload::DriverParams driver_params;
   driver_params.capacity_qps = capacity;
   driver_params.seed = options.driver_seed;
-  ClusterLoadDriver driver(&rig, &profile, driver_params);
+  // Queries enter through the rig's routing mode (ClusterRig::EntryNodeFor).
+  workload::LoadDriver driver(
+      &simulator, [&rig](const engine::QuerySpec& s) { rig.Submit(s); },
+      &rig.workload(), &profile, driver_params);
 
   ClusterRunResult result;
   result.capacity_qps = capacity;

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "ecl/ecl.h"
 #include "engine/engine.h"
+#include "experiment/node_rig.h"
 #include "hwsim/machine.h"
 #include "profile/serialization.h"
 #include "sim/simulator.h"
@@ -36,34 +37,32 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
   ECLDB_CHECK(params.num_switch_phases >= 1);
   ECLDB_CHECK(params.tail <= params.phase_len);
 
-  sim::Simulator sim;
-  telemetry::Telemetry* const tel = params.telemetry;
-  if (tel != nullptr) tel->Bind(&sim);
-  const hwsim::MachineParams machine_params = hwsim::MachineParams::HaswellEp();
-  hwsim::Machine machine(&sim, machine_params);
-  if (tel != nullptr) machine.AttachTelemetry(tel);
-  engine::EngineParams engine_params;
-  if (tel != nullptr) engine_params.telemetry = tel;
-  engine::Engine engine(&sim, &machine, engine_params);
-
-  workload::KvParams pi;
-  pi.indexed = true;
-  workload::KvWorkload indexed(&engine, pi);
-  workload::KvParams ps;
-  ps.indexed = false;
-  workload::KvWorkload scan(&engine, ps);
-
-  ecl::EclParams ecl_params;
-  ecl_params.socket.predictor = params.predictor;
-  if (tel != nullptr) ecl_params.telemetry = tel;
-  ecl::EnergyControlLoop loop(&sim, &engine, ecl_params);
-  loop.Start();
-
-  // Prime the profiles (and, with the predictor on, its learn cache) on
-  // the indexed workload under synthetic saturation.
-  engine.scheduler().SetSyntheticLoad(&indexed.profile());
-  sim.RunFor(params.prime);
-  engine.scheduler().SetSyntheticLoad(nullptr);
+  RunOptions options;
+  options.ecl.socket.predictor = params.predictor;
+  options.prime_duration = params.prime;
+  options.telemetry = params.telemetry;
+  // The rig primes (profiles and, with the predictor on, its learn cache)
+  // on the indexed workload it is given; the scan workload is built right
+  // after it and parked here.
+  std::unique_ptr<workload::KvWorkload> scan;
+  NodeRig rig(
+      [&scan](engine::Engine* engine) {
+        workload::KvParams pi;
+        pi.indexed = true;
+        auto indexed = std::make_unique<workload::KvWorkload>(engine, pi);
+        workload::KvParams ps;
+        ps.indexed = false;
+        scan = std::make_unique<workload::KvWorkload>(engine, ps);
+        return indexed;
+      },
+      options);
+  sim::Simulator& sim = rig.simulator();
+  hwsim::Machine& machine = rig.machine();
+  engine::Engine& engine = rig.engine();
+  workload::Workload& indexed = rig.workload();
+  ecl::EnergyControlLoop& loop = *rig.loop();
+  const hwsim::MachineParams& machine_params = machine.params();
+  rig.Prime();
   loop.SetAdaptation(params.online, params.multiplexed);
 
   if (!params.prime_learn_cache.empty()) {
@@ -83,9 +82,8 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
   const int phase_secs = static_cast<int>(ToSeconds(params.phase_len));
   const int tail_secs = static_cast<int>(ToSeconds(params.tail));
 
-  const double cap_indexed =
-      workload::BaselineCapacityQps(machine_params, indexed);
-  const double cap_scan = workload::BaselineCapacityQps(machine_params, scan);
+  const double cap_indexed = rig.capacity();
+  const double cap_scan = workload::BaselineCapacityQps(machine_params, *scan);
 
   DriftTraceResult result;
   const double e0 = machine.TotalEnergyJoules();
@@ -98,7 +96,7 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
 
   for (int phase = 0; phase < params.num_switch_phases; ++phase) {
     const bool is_scan = (phase % 2) == 0;
-    workload::KvWorkload& wl = is_scan ? scan : indexed;
+    workload::Workload& wl = is_scan ? *scan : indexed;
 
     DriftTracePhase ph;
     ph.workload = is_scan ? "kv-scan" : "kv-indexed";
@@ -154,8 +152,10 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
         *pred,
         profile::LearnCacheFingerprint(socket0.profile(), machine_params));
   }
-  if (tel != nullptr) result.telemetry_dump = tel->registry().Dump();
-  loop.Stop();
+  if (params.telemetry != nullptr) {
+    result.telemetry_dump = params.telemetry->registry().Dump();
+  }
+  rig.StopEcls();
   return result;
 }
 

@@ -46,8 +46,9 @@ RunResult RunLoadExperiment(const WorkloadFactory& factory,
   workload::DriverParams driver_params;
   driver_params.capacity_qps = rig.capacity();
   driver_params.seed = options.driver_seed;
-  workload::LoadDriver driver(&simulator, &engine, &rig.workload(), &profile,
-                              driver_params);
+  workload::LoadDriver driver(
+      &simulator, [&rig](const engine::QuerySpec& s) { rig.Submit(s); },
+      &rig.workload(), &profile, driver_params);
 
   RunResult result;
   result.capacity_qps = rig.capacity();

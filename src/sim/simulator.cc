@@ -12,15 +12,6 @@ EventId Simulator::Schedule(SimTime t, std::function<void()> fn) {
   return events_.Schedule(t, std::move(fn));
 }
 
-void Simulator::RegisterAdvancer(std::function<void(SimTime, SimTime)> advancer) {
-  Advancer a;
-  a.advance = std::move(advancer);
-  advancers_.push_back(std::move(a));
-  // A legacy advancer cannot report stationarity; be conservative and keep
-  // the exact slice-stepped schedule for the whole simulation.
-  all_ff_capable_ = false;
-}
-
 void Simulator::RegisterAdvancer(Advancer advancer) {
   ECLDB_CHECK(advancer.advance != nullptr);
   if (advancer.stationary_until == nullptr || advancer.fast_forward == nullptr) {

@@ -57,12 +57,10 @@ class Simulator {
   bool Cancel(EventId id) { return events_.Cancel(id); }
 
   /// Registers a component advanced over every elapsed interval, in
-  /// registration order. The callback receives (from, to], to > from.
-  /// Legacy form: the component cannot report stationarity, so registering
-  /// one disables fast-forward for the whole simulation (conservative).
-  void RegisterAdvancer(std::function<void(SimTime, SimTime)> advancer);
-
-  /// Registers a fast-forward-capable advancer (all three hooks set).
+  /// registration order; `advance` receives (from, to], to > from. An
+  /// advancer without both fast-forward hooks cannot report stationarity,
+  /// so registering one disables fast-forward for the whole simulation
+  /// (conservative).
   void RegisterAdvancer(Advancer advancer);
 
   /// Upper bound on a single advance interval. Default 1 ms.

@@ -1,23 +1,35 @@
 #include "workload/driver.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
 namespace ecldb::workload {
 
-LoadDriver::LoadDriver(sim::Simulator* simulator, engine::Engine* engine,
+LoadDriver::LoadDriver(sim::Simulator* simulator, SubmitFn submit,
                        Workload* workload, const LoadProfile* profile,
                        const DriverParams& params)
     : simulator_(simulator),
-      engine_(engine),
+      submit_(std::move(submit)),
       workload_(workload),
       profile_(profile),
       params_(params),
       rng_(params.seed) {
-  ECLDB_CHECK(simulator != nullptr && engine != nullptr &&
+  ECLDB_CHECK(simulator != nullptr && submit_ != nullptr &&
               workload != nullptr && profile != nullptr);
   ECLDB_CHECK(params.capacity_qps > 0.0);
+}
+
+LoadDriver::LoadDriver(sim::Simulator* simulator, engine::Engine* engine,
+                       Workload* workload, const LoadProfile* profile,
+                       const DriverParams& params)
+    : LoadDriver(simulator,
+                 [engine](const engine::QuerySpec& spec) {
+                   engine->Submit(spec);
+                 },
+                 workload, profile, params) {
+  ECLDB_CHECK(engine != nullptr);
 }
 
 void LoadDriver::Start() {
@@ -43,7 +55,7 @@ void LoadDriver::ScheduleNext() {
   simulator_->ScheduleAfter(gap, [this] {
     const SimTime t = simulator_->now() - start_time_;
     if (t < profile_->duration()) {
-      engine_->Submit(workload_->MakeQuery(rng_));
+      submit_(workload_->MakeQuery(rng_));
       ++submitted_;
     }
     ScheduleNext();

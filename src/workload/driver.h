@@ -21,12 +21,19 @@ struct DriverParams {
   uint64_t seed = 4242;
 };
 
-/// Open-loop load driver: submits workload queries to the engine following
-/// a load profile (arrival rate = LoadAt(t) * capacity_qps). Queries are
-/// submitted regardless of completion — overload phases therefore build up
-/// backlog exactly as an external client population would.
+/// Open-loop load driver: submits workload queries following a load
+/// profile (arrival rate = LoadAt(t) * capacity_qps). Queries are submitted
+/// regardless of completion — overload phases therefore build up backlog
+/// exactly as an external client population would.
 class LoadDriver {
  public:
+  /// Where each generated query goes: one engine, or a rig's entry routing
+  /// (e.g. experiment::ClusterRig::Submit).
+  using SubmitFn = std::function<void(const engine::QuerySpec&)>;
+
+  LoadDriver(sim::Simulator* simulator, SubmitFn submit, Workload* workload,
+             const LoadProfile* profile, const DriverParams& params);
+  /// Submits to `engine`.
   LoadDriver(sim::Simulator* simulator, engine::Engine* engine,
              Workload* workload, const LoadProfile* profile,
              const DriverParams& params);
@@ -45,7 +52,7 @@ class LoadDriver {
   void ScheduleNext();
 
   sim::Simulator* simulator_;
-  engine::Engine* engine_;
+  SubmitFn submit_;
   Workload* workload_;
   const LoadProfile* profile_;
   DriverParams params_;

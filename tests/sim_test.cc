@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
+#include "engine/database.h"
+#include "engine/txn_scheduler.h"
+#include "hwsim/machine.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 
@@ -89,13 +93,15 @@ TEST(SimulatorTest, AdvancersCoverEveryInterval) {
   s.set_max_slice(Millis(1));
   SimDuration covered = 0;
   SimTime last_end = 0;
-  s.RegisterAdvancer([&](SimTime from, SimTime to) {
+  Advancer a;
+  a.advance = [&](SimTime from, SimTime to) {
     EXPECT_EQ(from, last_end);
     EXPECT_GT(to, from);
     EXPECT_LE(to - from, Millis(1));
     covered += to - from;
     last_end = to;
-  });
+  };
+  s.RegisterAdvancer(std::move(a));
   s.Schedule(Micros(1500), [] {});  // forces a partial slice
   s.RunUntil(Millis(5));
   EXPECT_EQ(covered, Millis(5));
@@ -106,10 +112,30 @@ TEST(SimulatorTest, AdvancerRunsBeforeEventAtSameTime) {
   Simulator s;
   SimDuration covered_at_event = -1;
   SimDuration covered = 0;
-  s.RegisterAdvancer([&](SimTime from, SimTime to) { covered += to - from; });
+  Advancer a;
+  a.advance = [&](SimTime from, SimTime to) { covered += to - from; };
+  s.RegisterAdvancer(std::move(a));
   s.Schedule(Millis(3), [&] { covered_at_event = covered; });
   s.RunUntil(Millis(3));
   EXPECT_EQ(covered_at_event, Millis(3));
+}
+
+TEST(SimulatorTest, PartialAdvancerDisablesFastForward) {
+  Simulator s;
+  EXPECT_TRUE(s.fast_forward_enabled());
+  Advancer a;
+  a.advance = [](SimTime, SimTime) {};
+  s.RegisterAdvancer(std::move(a));
+  EXPECT_FALSE(s.fast_forward_enabled());
+
+  // The transaction scheduler registers an advance-only advancer.
+  Simulator txn_sim;
+  hwsim::Machine machine(&txn_sim, hwsim::MachineParams::HaswellEp());
+  EXPECT_TRUE(txn_sim.fast_forward_enabled());
+  engine::Database db(machine.topology().total_threads());
+  engine::TxnScheduler txn(&txn_sim, &machine, &db,
+                           engine::TxnSchedulerParams{});
+  EXPECT_FALSE(txn_sim.fast_forward_enabled());
 }
 
 TEST(SimulatorTest, ScheduleAfterUsesCurrentTime) {
