@@ -14,27 +14,12 @@
 #include "hwsim/machine.h"
 #include "msg/mpmc_ring.h"
 #include "msg/partition_queue.h"
-#include "msg/spsc_ring.h"
 #include "profile/config_generator.h"
 #include "profile/energy_profile.h"
 #include "workload/work_profiles.h"
 
 namespace ecldb {
 namespace {
-
-void BM_SpscRingPushPop(benchmark::State& state) {
-  msg::SpscRing<int64_t> ring(1024);
-  int64_t v = 0;
-  for (auto _ : state) {
-    ring.TryPush(v);
-    int64_t out = 0;
-    ring.TryPop(&out);
-    benchmark::DoNotOptimize(out);
-    ++v;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 void BM_MpmcRingPushPop(benchmark::State& state) {
   msg::MpmcRing<int64_t> ring(1024);

@@ -6,33 +6,45 @@ namespace ecldb::msg {
 
 CommEndpoint::CommEndpoint(SocketId socket, int num_sockets,
                            size_t channel_capacity)
-    : socket_(socket) {
+    : socket_(socket), outbox_(static_cast<size_t>(num_sockets)) {
   for (int d = 0; d < num_sockets; ++d) {
-    outbox_.push_back(d == socket
-                          ? nullptr
-                          : std::make_unique<MpmcRing<Message>>(channel_capacity));
+    if (d != socket) {
+      outbox_[static_cast<size_t>(d)].ring =
+          std::make_unique<MpmcRing<Message>>(channel_capacity);
+    }
   }
 }
 
 bool CommEndpoint::BufferOutbound(SocketId dest, const Message& m) {
   ECLDB_DCHECK(dest != socket_);
   ECLDB_DCHECK(dest >= 0 && dest < static_cast<SocketId>(outbox_.size()));
-  return outbox_[static_cast<size_t>(dest)]->TryPush(m);
+  return outbox_[static_cast<size_t>(dest)].ring->TryPush(m);
 }
 
 size_t CommEndpoint::Pump(const DeliverFn& deliver, size_t max_batch) {
   size_t moved = 0;
   for (size_t d = 0; d < outbox_.size(); ++d) {
-    MpmcRing<Message>* box = outbox_[d].get();
-    if (box == nullptr) continue;
-    Message m;
+    Outbox& box = outbox_[d];
+    if (box.ring == nullptr) continue;
     size_t n = 0;
-    while (n < max_batch && box->TryPop(&m)) {
-      // Remote delivery; if the destination cannot accept the message it
-      // is retried on the next pump (we re-buffer it locally).
-      if (!deliver(static_cast<SocketId>(d), m)) {
-        box->TryPush(m);
+    Message m;
+    while (n < max_batch) {
+      // A held message is older than anything in the ring: retry it first.
+      if (box.held.has_value()) {
+        m = *box.held;
+      } else if (!box.ring->TryPop(&m)) {
         break;
+      }
+      if (!deliver(static_cast<SocketId>(d), m)) {
+        if (!box.held.has_value()) {
+          box.held = m;
+          held_count_.fetch_add(1, std::memory_order_relaxed);
+        }
+        break;
+      }
+      if (box.held.has_value()) {
+        box.held.reset();
+        held_count_.fetch_sub(1, std::memory_order_relaxed);
       }
       ++n;
     }
@@ -52,11 +64,19 @@ size_t CommEndpoint::Pump(std::vector<IntraSocketRouter*>& routers,
 }
 
 size_t CommEndpoint::OutboundPendingApprox() const {
-  size_t sum = 0;
-  for (const auto& box : outbox_) {
-    if (box != nullptr) sum += box->SizeApprox();
+  size_t sum = held_count_.load(std::memory_order_relaxed);
+  for (const Outbox& box : outbox_) {
+    if (box.ring != nullptr) sum += box.ring->SizeApprox();
   }
   return sum;
+}
+
+size_t CommEndpoint::MemoryBytes() const {
+  size_t bytes = 0;
+  for (const Outbox& box : outbox_) {
+    if (box.ring != nullptr) bytes += box.ring->MemoryBytes();
+  }
+  return bytes;
 }
 
 }  // namespace ecldb::msg

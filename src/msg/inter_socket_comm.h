@@ -1,9 +1,11 @@
 #ifndef ECLDB_MSG_INTER_SOCKET_COMM_H_
 #define ECLDB_MSG_INTER_SOCKET_COMM_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -35,7 +37,8 @@ class CommEndpoint {
 
   /// Delivery callback: hands one message to the destination socket;
   /// returns false when the destination cannot accept it now (the message
-  /// is re-buffered and retried on the next pump).
+  /// is held at the head of its channel and retried first on the next
+  /// pump, so per-destination order is kept and nothing is dropped).
   using DeliverFn = std::function<bool(SocketId dest, const Message& m)>;
 
   /// Transfers up to `max_batch` buffered messages per destination via
@@ -47,15 +50,26 @@ class CommEndpoint {
   /// routers (no placement indirection; direct msg-level use and tests).
   size_t Pump(std::vector<IntraSocketRouter*>& routers, size_t max_batch);
 
-  /// Messages waiting in all outboxes (approximate).
+  /// Messages waiting in all outboxes, held ones included (approximate).
   size_t OutboundPendingApprox() const;
+
+  /// Ring storage of all outboxes (0 until a message is buffered).
+  size_t MemoryBytes() const;
 
   /// Total messages ever transferred by this endpoint.
   int64_t transferred() const { return transferred_; }
 
  private:
+  struct Outbox {
+    std::unique_ptr<MpmcRing<Message>> ring;  // null for the own socket
+    /// Popped message whose delivery failed; only the pump touches it.
+    std::optional<Message> held;
+  };
+
   SocketId socket_;
-  std::vector<std::unique_ptr<MpmcRing<Message>>> outbox_;  // per destination
+  std::vector<Outbox> outbox_;  // per destination
+  /// Outboxes with a held message, readable off the communication thread.
+  std::atomic<size_t> held_count_{0};
   int64_t transferred_ = 0;
 };
 

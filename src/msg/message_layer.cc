@@ -83,7 +83,7 @@ bool MessageLayer::DeliverAt(SocketId at, const Message& m) {
   ECLDB_DCHECK(home != at);
   if (!comms_[static_cast<size_t>(at)]->BufferOutbound(home, m)) {
     stats_[static_cast<size_t>(at)].comm_rejects.Increment();
-    return false;  // re-buffered at the sender, retried next pump
+    return false;  // held at the sender, retried first on the next pump
   }
   stats_[static_cast<size_t>(at)].stale_forwards.Increment();
   return true;
@@ -151,6 +151,13 @@ size_t MessageLayer::PendingApprox() const {
   for (const auto& r : routers_) sum += r->PendingApprox();
   for (const auto& c : comms_) sum += c->OutboundPendingApprox();
   return sum;
+}
+
+size_t MessageLayer::MemoryBytes() const {
+  size_t bytes = 0;
+  for (const auto& q : queues_) bytes += q->MemoryBytes();
+  for (const auto& c : comms_) bytes += c->MemoryBytes();
+  return bytes;
 }
 
 }  // namespace ecldb::msg

@@ -91,9 +91,9 @@ class MessageLayer {
   }
 
   /// Crash recovery: discards every queued message — partition queues and
-  /// outbound comm channels alike. Every partition queue must be unowned
-  /// (the scheduler releases worker ownership first); event context only.
-  /// Returns the number of messages discarded.
+  /// outbound comm channels alike, held messages included. Every partition
+  /// queue must be unowned (the scheduler releases worker ownership first);
+  /// event context only. Returns the number of messages discarded.
   size_t DrainAllQueues();
 
   /// Combined per-socket counters (layer counters + the socket's router
@@ -102,6 +102,11 @@ class MessageLayer {
 
   /// Pending messages anywhere in the layer (approximate).
   size_t PendingApprox() const;
+
+  /// Ring storage of every partition queue and comm outbox. A ring is
+  /// allocated by its first message, so this counts only the rings that
+  /// ever received one.
+  size_t MemoryBytes() const;
 
  private:
   /// Delivers a pumped message at socket `at`; forwards it onward when the

@@ -3,30 +3,32 @@
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
-
-#include "common/check.h"
+#include <cstdint>
 
 namespace ecldb::msg {
 
 /// Bounded lock-free multi-producer/multi-consumer ring buffer
 /// (Vyukov-style sequence-number design).
 ///
-/// Partition queues are built on this: any worker of a socket may enqueue
-/// messages for any partition, and whichever worker owns the partition at
-/// the moment drains it.
+/// Partition queues and the inter-socket outboxes are built on this: any
+/// worker of a socket may enqueue messages for any partition, and
+/// whichever worker owns the partition at the moment drains it.
+///
+/// The cell array is allocated by the first `TryPush`, not by the
+/// constructor, so a ring that never receives a message costs no more than
+/// the object itself. Racing first pushes each build an array and install
+/// it with one CAS; the losers free theirs. Capacity is fixed at
+/// construction either way.
 template <typename T>
 class MpmcRing {
  public:
   explicit MpmcRing(size_t min_capacity) {
     size_t cap = 2;
     while (cap < min_capacity) cap <<= 1;
-    cells_ = std::make_unique<Cell[]>(cap);
     mask_ = cap - 1;
-    for (size_t i = 0; i < cap; ++i) {
-      cells_[i].sequence.store(i, std::memory_order_relaxed);
-    }
   }
+
+  ~MpmcRing() { delete[] cells_.load(std::memory_order_acquire); }
 
   MpmcRing(const MpmcRing&) = delete;
   MpmcRing& operator=(const MpmcRing&) = delete;
@@ -34,10 +36,12 @@ class MpmcRing {
   size_t capacity() const { return mask_ + 1; }
 
   bool TryPush(const T& value) {
+    Cell* cells = cells_.load(std::memory_order_acquire);
+    if (cells == nullptr) [[unlikely]] cells = Allocate();
     Cell* cell;
     size_t pos = enqueue_pos_.load(std::memory_order_relaxed);
     for (;;) {
-      cell = &cells_[pos & mask_];
+      cell = &cells[pos & mask_];
       const size_t seq = cell->sequence.load(std::memory_order_acquire);
       const intptr_t diff =
           static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos);
@@ -58,10 +62,12 @@ class MpmcRing {
   }
 
   bool TryPop(T* out) {
+    Cell* const cells = cells_.load(std::memory_order_acquire);
+    if (cells == nullptr) return false;  // never pushed to
     Cell* cell;
     size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
     for (;;) {
-      cell = &cells_[pos & mask_];
+      cell = &cells[pos & mask_];
       const size_t seq = cell->sequence.load(std::memory_order_acquire);
       const intptr_t diff =
           static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos + 1);
@@ -89,13 +95,39 @@ class MpmcRing {
 
   bool EmptyApprox() const { return SizeApprox() == 0; }
 
+  /// Bytes of cell storage: 0 until the first push, then the whole array.
+  size_t MemoryBytes() const {
+    return cells_.load(std::memory_order_acquire) == nullptr
+               ? 0
+               : capacity() * sizeof(Cell);
+  }
+
  private:
   struct Cell {
     std::atomic<size_t> sequence{0};
     T value{};
   };
 
-  std::unique_ptr<Cell[]> cells_;
+  /// Builds the cell array and installs it unless another first push got
+  /// there first; returns the installed array either way. Kept out of line
+  /// so the inlined push path stays as small as it was with eager cells.
+  [[gnu::noinline]] Cell* Allocate() {
+    const size_t cap = capacity();
+    Cell* fresh = new Cell[cap];
+    for (size_t i = 0; i < cap; ++i) {
+      fresh[i].sequence.store(i, std::memory_order_relaxed);
+    }
+    Cell* installed = nullptr;
+    if (cells_.compare_exchange_strong(installed, fresh,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+      return fresh;
+    }
+    delete[] fresh;
+    return installed;
+  }
+
+  std::atomic<Cell*> cells_{nullptr};
   size_t mask_ = 0;
   alignas(64) std::atomic<size_t> enqueue_pos_{0};
   alignas(64) std::atomic<size_t> dequeue_pos_{0};

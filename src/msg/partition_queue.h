@@ -50,6 +50,8 @@ class PartitionQueue {
 
   size_t SizeApprox() const { return ring_.SizeApprox(); }
   bool EmptyApprox() const { return ring_.EmptyApprox(); }
+  /// Ring storage: 0 until the first message arrives (see MpmcRing).
+  size_t MemoryBytes() const { return ring_.MemoryBytes(); }
 
   /// Running total of fluid operations queued (sum of MessageOps over the
   /// queued messages), maintained on every enqueue/dequeue so backlog

@@ -83,6 +83,34 @@ TEST_F(ClusterEngineTest, CrossNodeSubmitShipsAndCompletes) {
   EXPECT_EQ(node_engine_completed(0), 0);
 }
 
+TEST_F(ClusterEngineTest, MessageRingsAllocateOnFirstMessage) {
+  // Every node engine has a queue for every cluster partition, but only
+  // queues that receive a message hold ring storage.
+  Build(hwsim::ClusterParams::Homogeneous(4, hwsim::ClusterNodeParams{}),
+        ClusterEngineParams{});
+  auto ring_bytes = [this] {
+    size_t bytes = 0;
+    for (NodeId n = 0; n < engine_->num_nodes(); ++n) {
+      bytes += engine_->node_engine(n).message_layer().MemoryBytes();
+    }
+    return bytes;
+  };
+  EXPECT_EQ(ring_bytes(), 0u);
+  const PartitionId p = 5;
+  const NodeId home = engine_->placement().HomeOf(p);
+  engine_->Submit((home + 1) % engine_->num_nodes(), ComputeQuery(p, 1e6));
+  sim_.RunFor(Millis(100));
+  EXPECT_EQ(engine_->CompletedQueries(), 1);
+  for (NodeId n = 0; n < engine_->num_nodes(); ++n) {
+    msg::MessageLayer& layer = engine_->node_engine(n).message_layer();
+    for (PartitionId q = 0; q < engine_->num_partitions(); ++q) {
+      EXPECT_EQ(layer.partition_queue(q)->MemoryBytes() > 0,
+                n == home && q == p)
+          << "node " << n << " partition " << q;
+    }
+  }
+}
+
 TEST_F(ClusterEngineTest, MultiNodeQuerySplitsByHomeNode) {
   Build();
   QuerySpec spec = ComputeQuery(0, 1e6);

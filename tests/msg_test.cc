@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -13,7 +14,6 @@
 #include "msg/mpmc_ring.h"
 #include "msg/partition_queue.h"
 #include "msg/placement_view.h"
-#include "msg/spsc_ring.h"
 
 namespace ecldb::msg {
 namespace {
@@ -25,6 +25,10 @@ Message MakeMsg(PartitionId p, int64_t tag = 0) {
   m.type = MessageType::kWorkUnits;
   return m;
 }
+
+/// One ring cell of an int64 ring: the sequence number plus the value.
+constexpr size_t kInt64CellBytes =
+    sizeof(std::atomic<size_t>) + sizeof(int64_t);
 
 /// Minimal mutable placement for layer tests (the real implementation is
 /// engine::PlacementMap; the msg layer only sees this interface).
@@ -51,44 +55,6 @@ struct RouterHarness {
     }
   }
 };
-
-TEST(SpscRingTest, FifoSingleThread) {
-  SpscRing<int> ring(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.TryPush(i));
-  EXPECT_FALSE(ring.TryPush(99));  // full
-  int v;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ring.TryPop(&v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.TryPop(&v));  // empty
-}
-
-TEST(SpscRingTest, CapacityRoundsToPowerOfTwo) {
-  SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-}
-
-TEST(SpscRingTest, TwoThreadStress) {
-  SpscRing<int64_t> ring(1024);
-  constexpr int64_t kCount = 200000;
-  std::thread producer([&] {
-    for (int64_t i = 0; i < kCount; ++i) {
-      while (!ring.TryPush(i)) {
-      }
-    }
-  });
-  int64_t expected = 0;
-  while (expected < kCount) {
-    int64_t v;
-    if (ring.TryPop(&v)) {
-      ASSERT_EQ(v, expected);  // strict FIFO
-      ++expected;
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.EmptyApprox());
-}
 
 TEST(MpmcRingTest, FifoSingleThread) {
   MpmcRing<int> ring(8);
@@ -136,6 +102,61 @@ TEST(MpmcRingTest, MultiProducerMultiConsumerStress) {
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
+TEST(MpmcRingTest, AllocatesOnFirstPushOnly) {
+  MpmcRing<int64_t> ring(5);
+  EXPECT_EQ(ring.capacity(), 8u);
+  int64_t v;
+  EXPECT_FALSE(ring.TryPop(&v));
+  EXPECT_EQ(ring.SizeApprox(), 0u);
+  EXPECT_TRUE(ring.EmptyApprox());
+  EXPECT_EQ(ring.MemoryBytes(), 0u);  // reading a fresh ring allocates nothing
+  ASSERT_TRUE(ring.TryPush(1));
+  EXPECT_EQ(ring.MemoryBytes(), 8 * kInt64CellBytes);
+  ASSERT_TRUE(ring.TryPop(&v));
+  EXPECT_EQ(v, 1);
+  EXPECT_EQ(ring.MemoryBytes(), 8 * kInt64CellBytes);  // kept once allocated
+}
+
+TEST(MpmcRingTest, ConcurrentFirstPush) {
+  // Every producer's first push races to allocate the cells; consumers
+  // pop from the start, so they also see the ring before it exists.
+  MpmcRing<int64_t> ring(64);
+  constexpr int kProducers = 8;
+  constexpr int kConsumers = 2;
+  constexpr int64_t kPerProducer = 4000;
+  constexpr int64_t kTotal = kProducers * kPerProducer;
+  std::vector<std::atomic<int>> seen(kTotal);
+  std::atomic<int64_t> popped{0};
+  std::latch start(kProducers);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConsumers; ++c) {
+    threads.emplace_back([&] {
+      int64_t v;
+      while (popped.load() < kTotal) {
+        if (ring.TryPop(&v)) {
+          seen[static_cast<size_t>(v)].fetch_add(1);
+          popped.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      start.arrive_and_wait();
+      for (int64_t i = 0; i < kPerProducer; ++i) {
+        while (!ring.TryPush(p * kPerProducer + i)) {
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(popped.load(), kTotal);
+  for (int64_t v = 0; v < kTotal; ++v) {
+    ASSERT_EQ(seen[static_cast<size_t>(v)].load(), 1) << "value " << v;
+  }
+  EXPECT_EQ(ring.MemoryBytes(), ring.capacity() * kInt64CellBytes);
+}
+
 TEST(PartitionQueueTest, OwnershipProtocol) {
   PartitionQueue q(3, 64);
   EXPECT_EQ(q.owner(), -1);
@@ -168,6 +189,17 @@ TEST(PartitionQueueTest, BackpressureWhenFull) {
   int pushed = 0;
   while (q.Enqueue(MakeMsg(0, pushed))) ++pushed;
   EXPECT_EQ(pushed, 4);
+}
+
+TEST(PartitionQueueTest, LazyRingKeepsItsCapacity) {
+  PartitionQueue q(0, 4);
+  EXPECT_EQ(q.MemoryBytes(), 0u);
+  ASSERT_TRUE(q.Enqueue(MakeMsg(0, 0)));
+  const size_t allocated = q.MemoryBytes();
+  EXPECT_GT(allocated, 0u);
+  for (int i = 1; i < 4; ++i) EXPECT_TRUE(q.Enqueue(MakeMsg(0, i)));
+  EXPECT_FALSE(q.Enqueue(MakeMsg(0, 4)));  // the 5th push is still rejected
+  EXPECT_EQ(q.MemoryBytes(), allocated);
 }
 
 TEST(IntraSocketRouterTest, RoutesToOwnedPartitions) {
@@ -254,6 +286,34 @@ TEST(CommEndpointTest, PumpsToRemoteRouter) {
   EXPECT_EQ(comm0.OutboundPendingApprox(), 0u);
   EXPECT_EQ(h1.router.queue(1)->SizeApprox(), 1u);
   EXPECT_EQ(comm0.transferred(), 1);
+}
+
+TEST(CommEndpointTest, UndeliveredMessageKeepsItsPlace) {
+  RouterHarness h0(0, {0}, 64);
+  RouterHarness h1(1, {1}, 2);
+  std::vector<IntraSocketRouter*> routers = {&h0.router, &h1.router};
+  PartitionQueue* dest = h1.router.queue(1);
+  ASSERT_TRUE(dest->Enqueue(MakeMsg(1, 1)));
+  ASSERT_TRUE(dest->Enqueue(MakeMsg(1, 2)));  // destination full
+  CommEndpoint comm0(0, 2, 64);
+  ASSERT_TRUE(comm0.BufferOutbound(1, MakeMsg(1, 10)));  // A
+  ASSERT_TRUE(comm0.BufferOutbound(1, MakeMsg(1, 11)));  // B
+  EXPECT_EQ(comm0.Pump(routers, 16), 0u);
+  EXPECT_EQ(comm0.OutboundPendingApprox(), 2u);  // A held, B buffered
+  // Free the destination, then pump again: A arrives before B.
+  std::vector<Message> out;
+  ASSERT_TRUE(dest->TryAcquire(0));
+  ASSERT_EQ(dest->DequeueBatch(0, 8, &out), 2u);
+  dest->Release(0);
+  EXPECT_EQ(comm0.Pump(routers, 16), 2u);
+  EXPECT_EQ(comm0.OutboundPendingApprox(), 0u);
+  out.clear();
+  ASSERT_TRUE(dest->TryAcquire(0));
+  ASSERT_EQ(dest->DequeueBatch(0, 8, &out), 2u);
+  dest->Release(0);
+  EXPECT_EQ(out[0].query_id, 10);
+  EXPECT_EQ(out[1].query_id, 11);
+  EXPECT_EQ(comm0.transferred(), 2);
 }
 
 TEST(CommEndpointTest, PumpBatchBounded) {
@@ -369,6 +429,37 @@ TEST(MessageLayerTest, DoublyStaleArrivalForwardsTwice) {
   EXPECT_EQ(layer.PumpComm(1), 1u);
   EXPECT_EQ(layer.router(2)->queue(0)->SizeApprox(), 1u);
   EXPECT_EQ(layer.PendingApprox(), 1u);
+}
+
+TEST(MessageLayerTest, RingsAllocateOnFirstMessage) {
+  TestPlacement placement({0, 0, 1, 1});
+  MessageLayer layer(2, &placement, MessageLayerParams{});
+  EXPECT_EQ(layer.MemoryBytes(), 0u);
+  EXPECT_EQ(layer.PendingApprox(), 0u);
+  EXPECT_EQ(layer.DrainAllQueues(), 0u);
+  EXPECT_EQ(layer.MemoryBytes(), 0u);  // draining empty rings allocates none
+  ASSERT_TRUE(layer.Send(0, MakeMsg(1)));
+  const size_t one_ring = layer.partition_queue(1)->MemoryBytes();
+  EXPECT_GT(one_ring, 0u);
+  EXPECT_EQ(layer.MemoryBytes(), one_ring);
+  ASSERT_TRUE(layer.Send(0, MakeMsg(3)));  // remote: only the outbox
+  EXPECT_EQ(layer.partition_queue(3)->MemoryBytes(), 0u);
+  EXPECT_EQ(layer.comm(0)->MemoryBytes(), one_ring);  // same capacity
+  EXPECT_EQ(layer.MemoryBytes(), 2 * one_ring);
+}
+
+TEST(MessageLayerTest, DrainDiscardsHeldOutboundMessage) {
+  TestPlacement placement({0, 1});
+  MessageLayerParams params;
+  params.partition_queue_capacity = 2;
+  MessageLayer layer(2, &placement, params);
+  ASSERT_TRUE(layer.Send(1, MakeMsg(1, 1)));
+  ASSERT_TRUE(layer.Send(1, MakeMsg(1, 2)));  // partition 1 full
+  ASSERT_TRUE(layer.Send(0, MakeMsg(1, 3)));
+  EXPECT_EQ(layer.PumpComm(0), 0u);  // undeliverable: held at socket 0
+  EXPECT_EQ(layer.PendingApprox(), 3u);
+  EXPECT_EQ(layer.DrainAllQueues(), 3u);
+  EXPECT_EQ(layer.PendingApprox(), 0u);
 }
 
 TEST(MessageTest, TypeNames) {
