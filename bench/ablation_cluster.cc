@@ -17,14 +17,14 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "experiment/cluster_trace.h"
+#include "experiment/experiment.h"
 #include "experiment/run_matrix.h"
 #include "workload/kv.h"
 #include "workload/load_profile.h"
 
 using namespace ecldb;
 using experiment::ClusterRunOptions;
-using experiment::ClusterRunResult;
+using experiment::RunResult;
 
 namespace {
 
@@ -60,9 +60,9 @@ ClusterRunOptions MakeOptions(Fleet fleet, bool cluster_ecl) {
   return options;
 }
 
-ClusterRunResult Run(Fleet fleet, bool cluster_ecl,
-                     const workload::LoadProfile& profile) {
-  return RunClusterExperiment(
+RunResult Run(Fleet fleet, bool cluster_ecl,
+              const workload::LoadProfile& profile) {
+  experiment::ClusterRig rig(
       [](engine::Engine* e) -> std::unique_ptr<workload::Workload> {
         workload::KvParams params;
         params.indexed = false;
@@ -77,18 +77,19 @@ ClusterRunResult Run(Fleet fleet, bool cluster_ecl,
         params.batch_gets = 16'000;
         return std::make_unique<workload::KvWorkload>(e, params);
       },
-      profile, MakeOptions(fleet, cluster_ecl));
+      MakeOptions(fleet, cluster_ecl));
+  return experiment::Run(rig, profile);
 }
 
-int MinNodesOn(const ClusterRunResult& r) {
+int MinNodesOn(const RunResult& r) {
   int nodes = kNodes;
-  for (double on : r.series.Column("exp/cluster/nodes_on")) {
+  for (double on : r.series.Column("exp/width")) {
     nodes = std::min(nodes, static_cast<int>(on));
   }
   return nodes;
 }
 
-double JoulesPerKquery(const ClusterRunResult& r) {
+double JoulesPerKquery(const RunResult& r) {
   return r.completed > 0 ? r.energy_j / (static_cast<double>(r.completed) / 1e3)
                          : 0.0;
 }
@@ -100,9 +101,9 @@ std::string RowLabel(Fleet fleet, bool on) {
 }
 
 void AddRow(TablePrinter& table, const std::string& label,
-            const std::string& load, const ClusterRunResult& r) {
+            const std::string& load, const RunResult& r) {
   table.AddRow({label, load, Fmt(r.energy_j, 0), Fmt(r.avg_power_w, 1),
-                FmtInt(MinNodesOn(r)), FmtInt(r.node_migrations),
+                FmtInt(MinNodesOn(r)), FmtInt(r.migrations),
                 FmtInt(r.power_downs), FmtInt(r.wakes), FmtInt(r.completed),
                 Fmt(JoulesPerKquery(r), 2), Fmt(r.p99_ms, 1)});
 }
@@ -137,9 +138,9 @@ int main(int argc, char** argv) {
   // Arms 0-1: diurnal trace, brawny, cluster ECL off/on. Remaining arms:
   // the load curve — brawny-off, brawny-on, wimpy-on at each load point.
   const int kArms = 2 + 3 * static_cast<int>(curve.size());
-  std::vector<ClusterRunResult> results(static_cast<size_t>(kArms));
+  std::vector<RunResult> results(static_cast<size_t>(kArms));
   experiment::RunMatrix(kArms, jobs, [&](int i) {
-    ClusterRunResult& out = results[static_cast<size_t>(i)];
+    RunResult& out = results[static_cast<size_t>(i)];
     if (i < 2) {
       out = Run(Fleet::kBrawny, i == 1, trace);
       return;
@@ -164,8 +165,8 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  const ClusterRunResult& off = results[0];
-  const ClusterRunResult& on = results[1];
+  const RunResult& off = results[0];
+  const RunResult& on = results[1];
   std::printf(
       "\ndiurnal trace: %.1f %% energy saving (%.0f J -> %.0f J) at "
       "completions %lld vs %lld; node migrations %lld (%lld cancelled), "
@@ -175,13 +176,13 @@ int main(int argc, char** argv) {
                          : 0.0,
       off.energy_j, on.energy_j, static_cast<long long>(off.completed),
       static_cast<long long>(on.completed),
-      static_cast<long long>(on.node_migrations),
+      static_cast<long long>(on.migrations),
       static_cast<long long>(on.cancelled_migrations),
       static_cast<long long>(on.power_downs), static_cast<long long>(on.wakes),
       static_cast<long long>(on.remote_sends),
       static_cast<long long>(on.stale_forwards));
-  const ClusterRunResult& brawny_pt = results[2 + curve.size() + 1];
-  const ClusterRunResult& wimpy_pt = results[2 + 2 * curve.size() + 1];
+  const RunResult& brawny_pt = results[2 + curve.size() + 1];
+  const RunResult& wimpy_pt = results[2 + 2 * curve.size() + 1];
   std::printf(
       "wimpy vs brawny at 0.6 load: %.2f vs %.2f J/kquery (each relative "
       "to its own capacity; the wimpy rack trades peak capacity for a "
@@ -201,7 +202,7 @@ int main(int argc, char** argv) {
                  "j_per_kquery", "min_nodes_on"});
   for (int config = 0; config < 3; ++config) {
     for (size_t point = 0; point < curve.size(); ++point) {
-      const ClusterRunResult& r =
+      const RunResult& r =
           results[2 + static_cast<size_t>(config) * curve.size() + point];
       const Fleet fleet = config == 2 ? Fleet::kWimpy : Fleet::kBrawny;
       csv.AddRow({RowLabel(fleet, config >= 1), Fmt(kCurveLoads[point], 1),

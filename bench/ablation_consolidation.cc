@@ -53,20 +53,21 @@ RunResult Run(bool consolidation, telemetry::Telemetry* tel) {
                                  {kLowStart, kLowLoad},
                                  {kLowEnd, kHighLoad}},
                                 kDuration);
-  return RunLoadExperiment(
+  experiment::NodeRig rig(
       [](engine::Engine* e) -> std::unique_ptr<workload::Workload> {
         workload::KvParams params;
         params.indexed = false;
         return std::make_unique<workload::KvWorkload>(e, params);
       },
-      profile, options);
+      options);
+  return experiment::Run(rig, profile);
 }
 
 /// Energy over the low-load phase, integrated from the power samples
 /// (each sample's power is averaged over the preceding sample period).
 double LowPhaseEnergyJ(const RunResult& r, double period_s) {
   const std::vector<double> t = r.series.Column("t_s");
-  const std::vector<double> w = r.series.Column("exp/rapl_power_w");
+  const std::vector<double> w = r.series.Column("exp/power_w");
   double j = 0.0;
   for (size_t i = 0; i < t.size(); ++i) {
     if (t[i] > ToSeconds(kLowStart) && t[i] <= ToSeconds(kLowEnd)) {

@@ -28,14 +28,14 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "experiment/loadgen_trace.h"
+#include "experiment/experiment.h"
 #include "experiment/run_matrix.h"
 #include "loadgen/loadgen.h"
 #include "workload/kv.h"
 
 using namespace ecldb;
-using experiment::SloRunOptions;
-using experiment::SloRunResult;
+using experiment::RunResult;
+using experiment::SloTraffic;
 
 namespace {
 
@@ -50,11 +50,8 @@ constexpr double kScoreFromS = 65.0;
 
 enum Arm { kNoRetry = 0, kImmediate = 1, kBackoff = 2 };
 
-SloRunOptions MakeOptions(Arm arm) {
-  SloRunOptions options;
-  options.run.prime_duration = Seconds(30);
-  options.run.ecl.system.interval = Millis(250);
-
+SloTraffic MakeTraffic(Arm arm) {
+  SloTraffic traffic;
   // A small premium tenant that is never shed keeps the latency window
   // live while the standard tier is being refused — without it a fully
   // shed entrance starves the pressure signal of completions and the
@@ -79,11 +76,11 @@ SloRunOptions MakeOptions(Arm arm) {
   crowd.start = kCrowdStart;
   crowd.duration = kCrowdDuration;
   t.shapes.push_back(crowd);
-  options.loadgen.tenants = {keeper, t};
+  traffic.loadgen.tenants = {keeper, t};
 
   // Shed early (as in ablation_slo_tiers): the crowd is far past
   // capacity, so a late onset only buys backlog.
-  options.loadgen.admission.classes[static_cast<size_t>(
+  traffic.loadgen.admission.classes[static_cast<size_t>(
       loadgen::SloClass::kStandard)] = {0.0, 0.0, 0.50, 0.85};
   // Refusal is not free: every rejected attempt costs the entrance ~3 %
   // of a query (accept, parse, reject). This is the wasted work that
@@ -93,10 +90,10 @@ SloRunOptions MakeOptions(Arm arm) {
   // budget prices out at ~0.05x — below the escape threshold — yet the
   // stub load never exceeds capacity, so the backlog (and the
   // simulation) stays bounded.
-  options.loadgen.reject_cost_frac = 0.03;
-  options.loadgen.duration = kTraceDuration;
+  traffic.loadgen.reject_cost_frac = 0.03;
+  traffic.loadgen.duration = kTraceDuration;
 
-  loadgen::RetryParams& retry = options.loadgen.retry;
+  loadgen::RetryParams& retry = traffic.loadgen.retry;
   switch (arm) {
     case kNoRetry:
       retry.enabled = false;
@@ -120,24 +117,28 @@ SloRunOptions MakeOptions(Arm arm) {
       break;
   }
 
-  options.total_load = kBaseLoad;
-  options.admission_enabled = true;
-  return options;
+  traffic.total_load = kBaseLoad;
+  traffic.admission_enabled = true;
+  return traffic;
 }
 
-SloRunResult Run(Arm arm) {
-  return RunSloExperiment(
+RunResult Run(Arm arm) {
+  experiment::RunOptions options;
+  options.prime_duration = Seconds(30);
+  options.ecl.system.interval = Millis(250);
+  experiment::NodeRig rig(
       [](engine::Engine* e) -> std::unique_ptr<workload::Workload> {
         workload::KvParams params;
         params.indexed = false;
         params.batch_gets = 4'000;
         return std::make_unique<workload::KvWorkload>(e, params);
       },
-      MakeOptions(arm));
+      options);
+  return experiment::Run(rig, MakeTraffic(arm));
 }
 
 /// Mean of a series column over the post-crowd scoring window.
-double PostCrowdMean(const SloRunResult& r, const std::string& column) {
+double PostCrowdMean(const RunResult& r, const std::string& column) {
   const std::vector<double> t = r.series.Column("t_s");
   const std::vector<double> v = r.series.Column(column);
   double sum = 0.0;
@@ -153,7 +154,7 @@ double PostCrowdMean(const SloRunResult& r, const std::string& column) {
 /// Last sample time at which shedding was still active — "when did the
 /// storm actually end". A system still shedding at trace end never
 /// re-converged.
-double LastShedS(const SloRunResult& r) {
+double LastShedS(const RunResult& r) {
   const std::vector<double> t = r.series.Column("t_s");
   const std::vector<double> shed = r.series.Column("exp/shed_fraction");
   double last = 0.0;
@@ -173,7 +174,7 @@ int main(int argc, char** argv) {
       "the system pinned past its flash-crowd trigger; exponential backoff "
       "with jitter re-converges. Scored on the post-crowd window.");
 
-  std::vector<SloRunResult> results(3);
+  std::vector<RunResult> results(3);
   experiment::RunMatrix(3, jobs, [&](int i) {
     results[static_cast<size_t>(i)] = Run(static_cast<Arm>(i));
   });
@@ -184,7 +185,7 @@ int main(int argc, char** argv) {
       {"arm", "arrivals", "retries", "shed", "abandoned", "completed",
        "energy J", "post-crowd shed", "post-crowd press", "shed until s"});
   for (size_t i = 0; i < results.size(); ++i) {
-    const SloRunResult& r = results[i];
+    const RunResult& r = results[i];
     summary.AddRow(
         {arm_names[i], FmtInt(r.arrivals), FmtInt(r.retries), FmtInt(r.shed),
          FmtInt(r.abandoned), FmtInt(r.completed), Fmt(r.energy_j, 0),
@@ -194,8 +195,8 @@ int main(int argc, char** argv) {
   }
   summary.Print();
 
-  const SloRunResult& immediate = results[kImmediate];
-  const SloRunResult& backoff = results[kBackoff];
+  const RunResult& immediate = results[kImmediate];
+  const RunResult& backoff = results[kBackoff];
   const double imm_shed = PostCrowdMean(immediate, "exp/shed_fraction");
   const double back_shed = PostCrowdMean(backoff, "exp/shed_fraction");
   std::printf(

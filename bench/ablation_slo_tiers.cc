@@ -19,15 +19,15 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "experiment/loadgen_trace.h"
+#include "experiment/experiment.h"
 #include "experiment/run_matrix.h"
 #include "loadgen/loadgen.h"
 #include "telemetry/export.h"
 #include "workload/kv.h"
 
 using namespace ecldb;
-using experiment::SloRunOptions;
-using experiment::SloRunResult;
+using experiment::RunResult;
+using experiment::SloTraffic;
 
 namespace {
 
@@ -62,18 +62,14 @@ loadgen::TenantSpec MakeTenant(const char* name, loadgen::SloClass cls,
   return t;
 }
 
-SloRunOptions MakeOptions(bool flash_crowd, bool admission) {
-  SloRunOptions options;
-  options.run.prime_duration = Seconds(30);
-  // Faster pressure updates: the admission loop reacts within a couple of
-  // ticks of the crowd's 3 s ramp instead of half a second behind it.
-  options.run.ecl.system.interval = Millis(250);
+SloTraffic MakeTraffic(bool flash_crowd, bool admission) {
+  SloTraffic traffic;
   // Shed earlier than the defaults: the crowd is 3x capacity, so waiting
   // until pressure is nearly saturated only lengthens the onset backlog
   // the premium tier then queues behind.
-  options.loadgen.admission.classes[static_cast<size_t>(
+  traffic.loadgen.admission.classes[static_cast<size_t>(
       loadgen::SloClass::kStandard)] = {0.0, 0.0, 0.50, 0.85};
-  options.loadgen.admission.classes[static_cast<size_t>(
+  traffic.loadgen.admission.classes[static_cast<size_t>(
       loadgen::SloClass::kBestEffort)] = {0.0, 0.0, 0.30, 0.60};
   // Crowd-survival SLAs: the contract is about what a tier is owed while
   // demand is 3x capacity, not about the easy steady state (where every
@@ -81,14 +77,14 @@ SloRunOptions MakeOptions(bool flash_crowd, bool admission) {
   // the ECL's internal latency limit; at p99.9 a hard 100 ms bound is not
   // deliverable through a flash crowd without per-class priority queues —
   // admission control bounds *how much* enters, not *who runs first*.
-  options.loadgen.slo.classes[static_cast<size_t>(
+  traffic.loadgen.slo.classes[static_cast<size_t>(
       loadgen::SloClass::kPremium)] = {1500.0, 99.9};
-  options.loadgen.slo.classes[static_cast<size_t>(
+  traffic.loadgen.slo.classes[static_cast<size_t>(
       loadgen::SloClass::kStandard)] = {2500.0, 99.0};
-  options.loadgen.slo.classes[static_cast<size_t>(
+  traffic.loadgen.slo.classes[static_cast<size_t>(
       loadgen::SloClass::kBestEffort)] = {5000.0, 95.0};
-  options.loadgen.duration = kTraceDuration;
-  options.loadgen.tenants = {
+  traffic.loadgen.duration = kTraceDuration;
+  traffic.loadgen.tenants = {
       MakeTenant("premium", loadgen::SloClass::kPremium, 0.2, 400'000,
                  flash_crowd),
       MakeTenant("standard", loadgen::SloClass::kStandard, 0.3, 1'000'000,
@@ -96,13 +92,18 @@ SloRunOptions MakeOptions(bool flash_crowd, bool admission) {
       MakeTenant("besteff", loadgen::SloClass::kBestEffort, 0.5, 4'000'000,
                  flash_crowd),
   };
-  options.total_load = kBaseLoad;
-  options.admission_enabled = admission;
-  return options;
+  traffic.total_load = kBaseLoad;
+  traffic.admission_enabled = admission;
+  return traffic;
 }
 
-SloRunResult Run(bool flash_crowd, bool admission) {
-  return RunSloExperiment(
+RunResult Run(bool flash_crowd, bool admission) {
+  experiment::RunOptions options;
+  options.prime_duration = Seconds(30);
+  // Faster pressure updates: the admission loop reacts within a couple of
+  // ticks of the crowd's 3 s ramp instead of half a second behind it.
+  options.ecl.system.interval = Millis(250);
+  experiment::NodeRig rig(
       [](engine::Engine* e) -> std::unique_ptr<workload::Workload> {
         workload::KvParams params;
         params.indexed = false;
@@ -113,18 +114,19 @@ SloRunResult Run(bool flash_crowd, bool admission) {
         params.batch_gets = 4'000;
         return std::make_unique<workload::KvWorkload>(e, params);
       },
-      MakeOptions(flash_crowd, admission));
+      options);
+  return experiment::Run(rig, MakeTraffic(flash_crowd, admission));
 }
 
 /// Peak of a series column over the run.
-double Peak(const SloRunResult& r, const std::string& column) {
+double Peak(const RunResult& r, const std::string& column) {
   double peak = 0.0;
   for (double v : r.series.Column(column)) peak = std::max(peak, v);
   return peak;
 }
 
 void AddClassRows(TablePrinter& table, const std::string& arm,
-                  const SloRunResult& r) {
+                  const RunResult& r) {
   for (int i = 0; i < loadgen::kNumSloClasses; ++i) {
     const experiment::SloClassStats& c = r.classes[static_cast<size_t>(i)];
     char tail_label[32];
@@ -152,7 +154,7 @@ int main(int argc, char** argv) {
 
   // Arm 0: steady trace, admission on (control: shedding stays idle).
   // Arm 1: flash crowd, admission off. Arm 2: flash crowd, admission on.
-  std::vector<SloRunResult> results(3);
+  std::vector<RunResult> results(3);
   experiment::RunMatrix(3, jobs, [&](int i) {
     results[static_cast<size_t>(i)] =
         Run(/*flash_crowd=*/i > 0, /*admission=*/i != 1);
@@ -171,7 +173,7 @@ int main(int argc, char** argv) {
   TablePrinter summary({"arm", "arrivals", "shed", "completed", "energy J",
                         "avg W", "peak pressure", "peak shed frac"});
   for (size_t i = 0; i < results.size(); ++i) {
-    const SloRunResult& r = results[i];
+    const RunResult& r = results[i];
     summary.AddRow({arm_names[i], FmtInt(r.arrivals), FmtInt(r.shed),
                     FmtInt(r.completed), Fmt(r.energy_j, 0),
                     Fmt(r.avg_power_w, 1), Fmt(Peak(r, "exp/pressure"), 2),
@@ -179,8 +181,8 @@ int main(int argc, char** argv) {
   }
   summary.Print();
 
-  const SloRunResult& admit_all = results[1];
-  const SloRunResult& shedding = results[2];
+  const RunResult& admit_all = results[1];
+  const RunResult& shedding = results[2];
   const experiment::SloClassStats& prem_all = admit_all.classes[0];
   const experiment::SloClassStats& prem_shed = shedding.classes[0];
   std::printf(

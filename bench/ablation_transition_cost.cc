@@ -33,14 +33,16 @@ int main() {
   workload::ConstantProfile profile(0.2, Seconds(30));
   experiment::RunOptions base_opt;
   base_opt.mode = experiment::ControlMode::kBaseline;
-  const auto base = RunLoadExperiment(Factory(), profile, base_opt);
+  experiment::NodeRig base_rig(Factory(), base_opt);
+  const auto base = experiment::Run(base_rig, profile);
 
   TablePrinter table({"apply latency", "ECL power W", "saving %", "p99 ms"});
   for (SimDuration apply : {Micros(20), Micros(200), Millis(2), Millis(10)}) {
     experiment::RunOptions opt;
     opt.mode = experiment::ControlMode::kEcl;
     opt.machine.config_apply_latency = apply;
-    const auto r = RunLoadExperiment(Factory(), profile, opt);
+    experiment::NodeRig rig(Factory(), opt);
+    const auto r = experiment::Run(rig, profile);
     char label[32];
     if (apply >= Millis(1)) {
       std::snprintf(label, sizeof(label), "%.0f ms", ToMillis(apply));

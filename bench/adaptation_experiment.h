@@ -14,7 +14,6 @@
 #include "bench_common.h"
 #include "ecl/ecl.h"
 #include "engine/engine.h"
-#include "experiment/experiment.h"
 #include "experiment/node_rig.h"
 #include "hwsim/machine.h"
 #include "sim/simulator.h"

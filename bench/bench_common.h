@@ -19,14 +19,14 @@
 
 namespace ecldb::bench {
 
-/// Writes the plotted columns of a RunLoadExperiment series to
+/// Writes the plotted columns of a single-node Run series to
 /// bench_results/<name>.csv under the plot scripts' names (see plots/).
 inline void WriteRunCsv(const char* name, const telemetry::Series& series) {
   const std::string path = "bench_results/" + std::string(name) + ".csv";
   if (telemetry::WriteSeriesCsv(
           series, path,
-          {"t_s", "exp/offered_qps", "exp/rapl_power_w",
-           "exp/latency_window_ms", "exp/active_threads",
+          {"t_s", "exp/offered_qps", "exp/power_w",
+           "exp/latency_window_ms", "exp/width",
            "exp/perf_level_frac", "exp/utilization"},
           {"t_s", "offered_qps", "rapl_power_w", "latency_window_ms",
            "active_threads", "perf_level_frac", "utilization"})) {

@@ -30,7 +30,8 @@ RunResult Run(ControlMode mode, SimDuration ecl_interval) {
   options.mode = mode;
   options.ecl.socket.interval = ecl_interval;
   options.sample_period = Seconds(2);
-  return RunLoadExperiment(Factory(), profile, options);
+  experiment::NodeRig rig(Factory(), options);
+  return experiment::Run(rig, profile);
 }
 
 double OverloadSeconds(const RunResult& r, double limit_ms) {
@@ -73,9 +74,9 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < base.series.size(); i += 3) {
     series.AddRow({Fmt(base.series.At(i, "t_s"), 0),
                    Fmt(base.series.At(i, "exp/offered_qps") / 1000.0, 1),
-                   Fmt(base.series.At(i, "exp/rapl_power_w"), 1),
-                   Fmt(ecl1.series.At(i, "exp/rapl_power_w"), 1),
-                   Fmt(ecl2.series.At(i, "exp/rapl_power_w"), 1)});
+                   Fmt(base.series.At(i, "exp/power_w"), 1),
+                   Fmt(ecl1.series.At(i, "exp/power_w"), 1),
+                   Fmt(ecl2.series.At(i, "exp/power_w"), 1)});
   }
   series.Print();
 

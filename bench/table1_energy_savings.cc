@@ -99,8 +99,8 @@ int main(int argc, char** argv) {
             MakeProfile(arm.profile_name);
         RunOptions opt;
         opt.mode = arm.mode;
-        results[static_cast<size_t>(i)] =
-            RunLoadExperiment(arm.workload->factory, *profile, opt);
+        experiment::NodeRig rig(arm.workload->factory, opt);
+        results[static_cast<size_t>(i)] = experiment::Run(rig, *profile);
       });
 
   TablePrinter table({"workload", "profile", "baseline J", "ECL J",

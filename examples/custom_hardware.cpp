@@ -28,8 +28,10 @@ void Compare(const char* name, const hwsim::MachineParams& machine) {
   experiment::RunOptions ecl = base;
   ecl.mode = experiment::ControlMode::kEcl;
 
-  const auto rb = experiment::RunLoadExperiment(factory, load, base);
-  const auto re = experiment::RunLoadExperiment(factory, load, ecl);
+  experiment::NodeRig base_rig(factory, base);
+  const auto rb = experiment::Run(base_rig, load);
+  experiment::NodeRig ecl_rig(factory, ecl);
+  const auto re = experiment::Run(ecl_rig, load);
   std::printf("%-28s %2d sockets x %2d cores | baseline %6.1f W | ECL %6.1f W "
               "| saving %4.1f %% | best: %s\n",
               name, machine.topology.num_sockets,

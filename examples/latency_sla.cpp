@@ -25,8 +25,8 @@ int main() {
 
   experiment::RunOptions baseline;
   baseline.mode = experiment::ControlMode::kBaseline;
-  const experiment::RunResult base =
-      experiment::RunLoadExperiment(factory, load, baseline);
+  experiment::NodeRig base_rig(factory, baseline);
+  const experiment::RunResult base = experiment::Run(base_rig, load);
   std::printf("%-12s %-12.1f %-10.1f %-10.2f %-12s\n", "baseline",
               base.avg_power_w, base.p99_ms, 0.0, "-");
 
@@ -34,8 +34,8 @@ int main() {
     experiment::RunOptions options;
     options.mode = experiment::ControlMode::kEcl;
     options.ecl.system.latency_limit_ms = limit_ms;
-    const experiment::RunResult r =
-        experiment::RunLoadExperiment(factory, load, options);
+    experiment::NodeRig rig(factory, options);
+    const experiment::RunResult r = experiment::Run(rig, load);
     std::printf("%-12.0f %-12.1f %-10.1f %-10.2f %-12.1f\n", limit_ms,
                 r.avg_power_w, r.p99_ms, 100.0 * r.violation_frac,
                 experiment::SavingsPercent(base, r));

@@ -29,16 +29,18 @@ int main() {
   // in a few wall-clock seconds).
   workload::ConstantProfile load(0.4, Seconds(30));
 
+  // A rig builds machine + engine + workload + controller; Run primes it,
+  // drives the load and drains every query. A rig runs once.
   experiment::RunOptions baseline;
   baseline.mode = experiment::ControlMode::kBaseline;
-  const experiment::RunResult base =
-      experiment::RunLoadExperiment(factory, load, baseline);
+  experiment::NodeRig base_rig(factory, baseline);
+  const experiment::RunResult base = experiment::Run(base_rig, load);
 
   experiment::RunOptions with_ecl;
   with_ecl.mode = experiment::ControlMode::kEcl;
   with_ecl.ecl.system.latency_limit_ms = 100.0;  // the soft constraint
-  const experiment::RunResult ecl =
-      experiment::RunLoadExperiment(factory, load, with_ecl);
+  experiment::NodeRig ecl_rig(factory, with_ecl);
+  const experiment::RunResult ecl = experiment::Run(ecl_rig, load);
 
   std::printf("baseline: %6.1f W avg, p99 latency %5.1f ms\n",
               base.avg_power_w, base.p99_ms);

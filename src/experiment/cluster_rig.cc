@@ -5,12 +5,20 @@
 #include <utility>
 
 #include "common/check.h"
+#include "experiment/experiment.h"
 
 namespace ecldb::experiment {
+namespace {
+
+/// Seed of the entry-node picks (only drawn when any_node_entry is on,
+/// so the default keeps the arrival/query streams bit-identical).
+constexpr uint64_t kEntrySeed = 171717;
+
+}  // namespace
 
 ClusterRig::ClusterRig(const ClusterWorkloadFactory& factory,
                        const ClusterRunOptions& options)
-    : options_(options), entry_rng_(options.entry_seed) {
+    : options_(options), entry_rng_(kEntrySeed) {
   simulator_.set_fast_forward(options_.fast_forward);
   tel_ = options_.telemetry;
   if (tel_ != nullptr) tel_->Bind(&simulator_);
@@ -29,12 +37,9 @@ ClusterRig::ClusterRig(const ClusterWorkloadFactory& factory,
   workload_ = factory(&cengine_->node_engine(0));
   ECLDB_CHECK(workload_ != nullptr);
 
-  capacity_ = options_.capacity_qps;
-  if (capacity_ <= 0.0) {
-    for (NodeId n = 0; n < num_nodes; ++n) {
-      capacity_ += workload::BaselineCapacityQps(
-          cluster_params_.nodes[static_cast<size_t>(n)].machine, *workload_);
-    }
+  for (NodeId n = 0; n < num_nodes; ++n) {
+    capacity_ += workload::BaselineCapacityQps(
+        cluster_params_.nodes[static_cast<size_t>(n)].machine, *workload_);
   }
 
   // One full ECL stack per node: its socket tier sizes the node's
@@ -92,6 +97,22 @@ void ClusterRig::Prime() {
   for (NodeId n = 0; n < num_nodes(); ++n) {
     cengine_->node_engine(n).latency().ResetRunStats();
   }
+  if (options_.faults.empty()) return;
+  // Shift the schedule (authored relative to measurement start) to
+  // absolute virtual time and arm. The injector's node hooks mirror the
+  // cluster ECL's: a crash stops the dead node's ECL before the engine
+  // recovery runs, a completed restart boots it again.
+  faultsim::FaultInjectorParams fi_params;
+  fi_params.schedule = options_.faults;
+  for (faultsim::FaultEvent& e : fi_params.schedule.events) {
+    e.at += simulator_.now();
+  }
+  fi_params.telemetry = tel_;
+  injector_ = std::make_unique<faultsim::FaultInjector>(
+      &simulator_, cluster_.get(), cengine_.get(), fi_params);
+  injector_->SetNodeHooks([this](NodeId n) { node_ecl(n).Stop(); },
+                          [this](NodeId n) { node_ecl(n).Start(); });
+  injector_->Arm();
 }
 
 void ClusterRig::StopEcls() {
@@ -147,6 +168,44 @@ double ClusterRig::LatencyWindowMs() const {
     ms = std::max(ms, cengine_->node_engine(n).latency().WindowMeanMs());
   }
   return ms;
+}
+
+int64_t ClusterRig::Resolved() const {
+  return cengine_->CompletedQueries() + cengine_->QueriesFailed();
+}
+
+void ClusterRig::ReadQueries(RunResult* result) const {
+  result->completed = cengine_->CompletedQueries();
+  result->failed = cengine_->QueriesFailed();
+  const double limit_ms = options_.node_ecl.system.latency_limit_ms;
+  double mean_weighted = 0.0;
+  double violation_weighted = 0.0;
+  for (NodeId n = 0; n < cluster_->num_nodes(); ++n) {
+    const engine::LatencyTracker& lt = cengine_->node_engine(n).latency();
+    const PercentileTracker& all = lt.all();
+    const double w = static_cast<double>(lt.completed());
+    mean_weighted += w * all.Mean();
+    violation_weighted += w * all.FractionAbove(limit_ms);
+    result->p50_ms = std::max(result->p50_ms, all.Percentile(50));
+    result->p95_ms = std::max(result->p95_ms, all.Percentile(95));
+    result->p99_ms = std::max(result->p99_ms, all.Percentile(99));
+    result->max_ms = std::max(result->max_ms, all.Max());
+  }
+  if (result->completed > 0) {
+    const double completed = static_cast<double>(result->completed);
+    result->mean_ms = mean_weighted / completed;
+    result->violation_frac = violation_weighted / completed;
+  }
+}
+
+void ClusterRig::ReadCounters(RunResult* result) const {
+  result->power_downs = cluster_->power_downs();
+  result->wakes = cluster_->power_ups();
+  result->migrations = cengine_->migrations_completed();
+  result->cancelled_migrations = cengine_->migrations_cancelled();
+  result->migration_bytes = cengine_->bytes_moved();
+  result->remote_sends = cengine_->remote_sends();
+  result->stale_forwards = cengine_->stale_forwards();
 }
 
 std::string ClusterRig::DescribeBacklog() const {

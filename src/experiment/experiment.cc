@@ -1,137 +1,213 @@
 #include "experiment/experiment.h"
 
-#include <sstream>
+#include <algorithm>
 
-#include "experiment/node_rig.h"
+#include "experiment/drain.h"
 #include "experiment/run_sampler.h"
+#include "workload/driver.h"
 
 namespace ecldb::experiment {
 namespace {
 
-/// Compact description of a configuration for result tables
-/// ("12 thr @ 1.2 GHz, uncore 3.0").
-std::string DescribeConfig(const hwsim::Topology& topo,
-                           const profile::Configuration& c) {
-  std::ostringstream out;
-  out << c.hw.ActiveThreadCount() << " thr @ ";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", c.hw.MeanActiveCoreFreq(topo));
-  out << buf << " GHz, uncore ";
-  std::snprintf(buf, sizeof(buf), "%.1f", c.hw.uncore_freq_ghz);
-  out << buf;
-  return out.str();
+/// A LoadProfile's traffic: a LoadDriver entering queries through the
+/// rig at the rig's capacity. The rig accounts for the queries.
+template <typename Rig>
+class ProfileSource {
+ public:
+  ProfileSource(Rig& rig, const workload::LoadProfile& profile)
+      : rig_(rig),
+        profile_(profile),
+        driver_(&rig.simulator(),
+                [&rig](const engine::QuerySpec& s) { rig.Submit(s); },
+                &rig.workload(), &profile, DriverParams(rig)) {}
+
+  void Start() { driver_.Start(); }
+  SimDuration duration() const { return profile_.duration(); }
+  double OfferedQps(SimTime t) const { return driver_.OfferedQps(t); }
+  void AddGauges(telemetry::MetricRegistry&) {}
+  int64_t submitted() const { return driver_.submitted(); }
+  int64_t resolved() const { return rig_.Resolved(); }
+  void ReadQueries(RunResult* result) const {
+    result->submitted = driver_.submitted();
+    rig_.ReadQueries(result);
+  }
+
+ private:
+  static workload::DriverParams DriverParams(const Rig& rig) {
+    workload::DriverParams params;
+    params.capacity_qps = rig.capacity();
+    params.seed = rig.options().driver_seed;
+    return params;
+  }
+
+  Rig& rig_;
+  const workload::LoadProfile& profile_;
+  workload::LoadDriver driver_;
+};
+
+/// SloTraffic: the loadgen's tenants, wired to the rig's completions,
+/// failures and (with admission on) pressure. The loadgen accounts for the
+/// queries, per SLO class.
+template <typename Rig>
+class LoadGenSource {
+ public:
+  LoadGenSource(Rig& rig, const SloTraffic& traffic)
+      : simulator_(rig.simulator()),
+        duration_(traffic.loadgen.duration),
+        lg_(&simulator_, &rig.workload(), Params(rig, traffic.loadgen)) {
+    lg_.NormalizeToCapacity(rig.capacity(), traffic.total_load);
+    lg_.SetSubmitFn([&rig](engine::QuerySpec&& spec) { rig.Submit(spec); });
+    rig.SetCompletionCallback(
+        [this](int8_t cls, SimTime arrival, SimTime completion) {
+          lg_.OnQueryComplete(cls, arrival, completion);
+        });
+    rig.SetFailureCallback([this](int8_t cls, int16_t tenant, int8_t attempt,
+                                  SimTime arrival, engine::FailReason reason) {
+      lg_.OnQueryFailed(cls, tenant, attempt, arrival, reason);
+    });
+    if (traffic.admission_enabled) {
+      lg_.admission().SetPressureSource([&rig] { return rig.Pressure(); });
+      rig.SetShedSignal([this] { return ShedFraction(); });
+    }
+  }
+  LoadGenSource(const LoadGenSource&) = delete;
+  LoadGenSource& operator=(const LoadGenSource&) = delete;
+
+  void Start() { lg_.Start(); }
+  SimDuration duration() const { return duration_; }
+  double OfferedQps(SimTime t) const { return lg_.OfferedQps(t); }
+  void AddGauges(telemetry::MetricRegistry& reg) {
+    reg.AddGauge("exp/shed_fraction", [this] { return ShedFraction(); });
+  }
+  int64_t submitted() const { return lg_.submitted(); }
+  int64_t resolved() const {
+    return lg_.slo().total_completed() + lg_.failed();
+  }
+  void ReadQueries(RunResult* result) const;
+
+ private:
+  static loadgen::LoadGenParams Params(Rig& rig,
+                                       loadgen::LoadGenParams params) {
+    if (params.telemetry == nullptr) params.telemetry = rig.telemetry();
+    return params;
+  }
+  double ShedFraction() const {
+    return lg_.admission().RecentShedFraction(simulator_.now());
+  }
+
+  sim::Simulator& simulator_;
+  SimDuration duration_;
+  loadgen::LoadGen lg_;
+};
+
+template <typename Rig>
+void LoadGenSource<Rig>::ReadQueries(RunResult* result) const {
+  const loadgen::SloTracker& slo = lg_.slo();
+  const loadgen::AdmissionController& adm = lg_.admission();
+  result->submitted = lg_.submitted();
+  result->completed = slo.total_completed();
+  result->failed = lg_.failed();
+  result->arrivals = lg_.arrivals();
+  result->admitted = adm.total_admitted();
+  result->shed = adm.total_shed();
+  result->retries = lg_.retries();
+  result->abandoned = lg_.abandoned();
+  // Admission counts retry re-offers too, so per-class arrivals come from
+  // the tenants' fresh-arrival counters.
+  for (size_t t = 0; t < lg_.num_tenants(); ++t) {
+    const auto c = static_cast<size_t>(lg_.tenant_spec(t).slo_class);
+    result->classes[c].arrivals += lg_.tenant_arrivals(t);
+  }
+  double mean_weighted = 0.0;
+  for (int i = 0; i < loadgen::kNumSloClasses; ++i) {
+    const auto c = static_cast<loadgen::SloClass>(i);
+    SloClassStats& out = result->classes[static_cast<size_t>(i)];
+    out.admitted = adm.admitted(c);
+    out.shed = adm.shed(c);
+    out.completed = slo.completed(c);
+    out.violations = slo.violations(c);
+    out.mean_ms = slo.latency(c).Mean();
+    out.tail_ms = slo.TailLatencyMs(c);
+    out.deadline_ms = slo.class_params(c).deadline_ms;
+    out.target_percentile = slo.class_params(c).target_percentile;
+    out.slo_met = slo.SloMet(c);
+    mean_weighted += static_cast<double>(out.completed) * out.mean_ms;
+    result->p99_ms = std::max(result->p99_ms, slo.latency(c).Percentile(99));
+  }
+  if (result->completed > 0) {
+    result->mean_ms = mean_weighted / static_cast<double>(result->completed);
+  }
 }
 
-/// Package + DRAM energy of one socket in joules.
-double SocketEnergyJ(const hwsim::Machine& machine, SocketId s) {
-  return 1e-6 *
-         static_cast<double>(machine.ReadRaplUj(s, hwsim::RaplDomain::kPackage) +
-                             machine.ReadRaplUj(s, hwsim::RaplDomain::kDram));
-}
-
-}  // namespace
-
-RunResult RunLoadExperiment(const WorkloadFactory& factory,
-                            const workload::LoadProfile& profile,
-                            const RunOptions& options) {
-  NodeRig rig(factory, options);
-  RunSampler sampler(options.telemetry, &rig.simulator(),
-                     options.sample_period);
+/// The one runner body, over either rig and either traffic source.
+template <typename Source, typename Rig, typename Traffic>
+RunResult RunOn(Rig& rig, const Traffic& traffic) {
+  telemetry::Telemetry* const tel = rig.telemetry();
+  RunSampler sampler(tel, &rig.simulator(), rig.options().sample_period);
   sim::Simulator& simulator = rig.simulator();
-  hwsim::Machine& machine = rig.machine();
-  engine::Engine& engine = rig.engine();
-  ecl::EnergyControlLoop* const loop = rig.loop();
   rig.Prime();
-
-  workload::DriverParams driver_params;
-  driver_params.capacity_qps = rig.capacity();
-  driver_params.seed = options.driver_seed;
-  workload::LoadDriver driver(
-      &simulator, [&rig](const engine::QuerySpec& s) { rig.Submit(s); },
-      &rig.workload(), &profile, driver_params);
+  Source source(rig, traffic);
 
   RunResult result;
   result.capacity_qps = rig.capacity();
   const SimTime run_start = simulator.now();
-  const double e0 = machine.TotalEnergyJoules();
-  driver.Start();
+  const double e0 = rig.EnergyJ();
+  source.Start();
 
   // The time series (Figs. 11, 13-15). Power is averaged over the sample
   // period (an instantaneous read would alias with the RTI switching
-  // phase); ECL columns read 0 in baseline mode.
-  const hwsim::Topology& topo = options.machine.topology;
+  // phase).
   telemetry::MetricRegistry& reg = sampler.registry();
-  reg.AddGauge("exp/offered_qps", [&driver, &simulator] {
-    return driver.OfferedQps(simulator.now());
+  reg.AddGauge("exp/offered_qps", [&source, &simulator] {
+    return source.OfferedQps(simulator.now());
   });
-  sampler.AddPowerGauge("exp/rapl_power_w",
-                        [&machine] { return machine.TotalEnergyJoules(); });
+  sampler.AddPowerGauge("exp/power_w", [&rig] { return rig.EnergyJ(); });
   reg.AddGauge("exp/latency_window_ms",
                [&rig] { return rig.LatencyWindowMs(); });
-  reg.AddGauge("exp/active_threads",
+  reg.AddGauge("exp/pressure", [&rig] { return rig.Pressure(); });
+  source.AddGauges(reg);
+  reg.AddGauge("exp/width",
                [&rig] { return static_cast<double>(rig.Width()); });
-  reg.AddGauge("exp/perf_level_frac", [loop] {
-    return loop != nullptr ? loop->MeanPerfLevelFrac() : 0.0;
-  });
-  reg.AddGauge("exp/utilization", [loop] {
-    if (loop == nullptr) return 0.0;
-    double util = 0.0;
-    for (int sk = 0; sk < loop->num_sockets(); ++sk) {
-      util += loop->socket(sk).last_utilization();
-    }
-    return util / loop->num_sockets();
-  });
-  for (SocketId sk = 0; sk < topo.num_sockets; ++sk) {
-    const std::string base = "exp/socket" + std::to_string(sk) + "/";
-    sampler.AddPowerGauge(base + "power_w", [&machine, sk] {
-      return SocketEnergyJ(machine, sk);
-    });
-    reg.AddGauge(base + "partitions", [&engine, sk] {
-      return static_cast<double>(engine.placement().PartitionsOn(sk));
-    });
-  }
+  rig.AddGauges(sampler);
   sampler.Start(run_start);
 
-  // Run the profile plus drain time for in-flight queries.
-  simulator.RunUntil(run_start + profile.duration());
+  simulator.RunUntil(run_start + source.duration());
   result.series = sampler.Stop();
-  const double e1 = machine.TotalEnergyJoules();
-  simulator.RunFor(Seconds(5));  // drain
-
-  result.duration_s = ToSeconds(profile.duration());
-  result.energy_j = e1 - e0;
+  result.duration_s = ToSeconds(source.duration());
+  result.energy_j = rig.EnergyJ() - e0;
   result.avg_power_w = result.energy_j / result.duration_s;
-  result.submitted = driver.submitted();
-  result.completed = engine.latency().completed();
-  const PercentileTracker& lat = engine.latency().all();
-  result.mean_ms = lat.Mean();
-  result.p50_ms = lat.Percentile(50);
-  result.p95_ms = lat.Percentile(95);
-  result.p99_ms = lat.Percentile(99);
-  result.max_ms = lat.Max();
-  result.violation_frac =
-      lat.FractionAbove(options.ecl.system.latency_limit_ms);
-  result.migrations = engine.migrator().completed();
-  result.migration_bytes = engine.migrator().bytes_moved();
-  for (SocketId sk = 0; sk < topo.num_sockets; ++sk) {
-    result.stale_forwards += engine.socket_msg_stats(sk).stale_forwards;
-  }
-  if (loop != nullptr) {
-    const profile::EnergyProfile& p = loop->socket(0).profile();
-    const int best = p.MostEfficientIndex();
-    if (best >= 0) result.best_config = DescribeConfig(topo, p.config(best));
-    if (loop->consolidation() != nullptr) {
-      result.consolidation_moves = loop->consolidation()->consolidation_moves();
-      result.spread_moves = loop->consolidation()->spread_moves();
-    }
-  }
+  rig.ReadCounters(&result);
+  // A submission resolves as a completion or a typed failure: the drain
+  // counts both, so a failed query never spins the watchdog, and names
+  // the backlog when they fall short.
+  result.drained = DrainToCompletion(
+      simulator, [&source] { return source.resolved(); }, source.submitted(),
+      Seconds(120), Seconds(45), [&rig] { return rig.DescribeBacklog(); });
+  source.ReadQueries(&result);
+
   rig.StopEcls();
   // Snapshot the registry while the run's objects are still alive; gauges
   // and counter functions reference them and must not be read later.
-  if (options.telemetry != nullptr) {
-    result.telemetry_dump = options.telemetry->registry().Dump();
-  }
+  if (tel != nullptr) result.telemetry_dump = tel->registry().Dump();
   return result;
+}
+
+}  // namespace
+
+RunResult Run(NodeRig& rig, const workload::LoadProfile& traffic) {
+  return RunOn<ProfileSource<NodeRig>>(rig, traffic);
+}
+
+RunResult Run(NodeRig& rig, const SloTraffic& traffic) {
+  return RunOn<LoadGenSource<NodeRig>>(rig, traffic);
+}
+
+RunResult Run(ClusterRig& rig, const workload::LoadProfile& traffic) {
+  return RunOn<ProfileSource<ClusterRig>>(rig, traffic);
+}
+
+RunResult Run(ClusterRig& rig, const SloTraffic& traffic) {
+  return RunOn<LoadGenSource<ClusterRig>>(rig, traffic);
 }
 
 }  // namespace ecldb::experiment

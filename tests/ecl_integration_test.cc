@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "experiment/experiment.h"
+#include "workload/driver.h"
 #include "workload/kv.h"
 #include "workload/load_profile.h"
 #include "workload/micro.h"
@@ -12,7 +13,6 @@ namespace ecldb {
 namespace {
 
 using experiment::ControlMode;
-using experiment::RunLoadExperiment;
 using experiment::RunOptions;
 using experiment::RunResult;
 
@@ -39,14 +39,20 @@ RunOptions Options(ControlMode mode) {
   return o;
 }
 
+RunResult RunArm(const experiment::WorkloadFactory& factory,
+                 const workload::LoadProfile& profile, ControlMode mode) {
+  experiment::NodeRig rig(factory, Options(mode));
+  return experiment::Run(rig, profile);
+}
+
 class EclIntegrationTest : public ::testing::Test {};
 
 TEST_F(EclIntegrationTest, EclSavesEnergyAtHalfLoad) {
   workload::ConstantProfile profile(0.5, Seconds(20));
   const RunResult base =
-      RunLoadExperiment(KvScanFactory(), profile, Options(ControlMode::kBaseline));
+      RunArm(KvScanFactory(), profile, ControlMode::kBaseline);
   const RunResult ecl =
-      RunLoadExperiment(KvScanFactory(), profile, Options(ControlMode::kEcl));
+      RunArm(KvScanFactory(), profile, ControlMode::kEcl);
   // Paper Section 6.2: energy savings between 15 % and ~40 % for the
   // bandwidth-bound key-value workload.
   const double savings = experiment::SavingsPercent(base, ecl);
@@ -62,10 +68,10 @@ TEST_F(EclIntegrationTest, EclNeverDrawsMoreThanBaseline) {
   // most energy-efficient configurations are applied" (Section 6.1).
   for (double load : {0.2, 0.6, 1.0}) {
     workload::ConstantProfile profile(load, Seconds(15));
-    const RunResult base = RunLoadExperiment(KvScanFactory(), profile,
-                                             Options(ControlMode::kBaseline));
+    const RunResult base =
+        RunArm(KvScanFactory(), profile, ControlMode::kBaseline);
     const RunResult ecl =
-        RunLoadExperiment(KvScanFactory(), profile, Options(ControlMode::kEcl));
+        RunArm(KvScanFactory(), profile, ControlMode::kEcl);
     EXPECT_LE(ecl.avg_power_w, base.avg_power_w * 1.02) << "load " << load;
   }
 }
@@ -73,7 +79,7 @@ TEST_F(EclIntegrationTest, EclNeverDrawsMoreThanBaseline) {
 TEST_F(EclIntegrationTest, LatencyLimitHeldOutsideOverload) {
   workload::ConstantProfile profile(0.5, Seconds(20));
   const RunResult ecl =
-      RunLoadExperiment(KvScanFactory(), profile, Options(ControlMode::kEcl));
+      RunArm(KvScanFactory(), profile, ControlMode::kEcl);
   EXPECT_LT(ecl.violation_frac, 0.01);
   EXPECT_LT(ecl.p99_ms, 100.0);
 }
@@ -84,19 +90,19 @@ TEST_F(EclIntegrationTest, SavingsGrowAsLoadShrinks) {
   workload::ConstantProfile low(0.15, Seconds(15));
   workload::ConstantProfile high(0.85, Seconds(15));
   const double save_low = experiment::SavingsPercent(
-      RunLoadExperiment(KvScanFactory(), low, Options(ControlMode::kBaseline)),
-      RunLoadExperiment(KvScanFactory(), low, Options(ControlMode::kEcl)));
+      RunArm(KvScanFactory(), low, ControlMode::kBaseline),
+      RunArm(KvScanFactory(), low, ControlMode::kEcl));
   const double save_high = experiment::SavingsPercent(
-      RunLoadExperiment(KvScanFactory(), high, Options(ControlMode::kBaseline)),
-      RunLoadExperiment(KvScanFactory(), high, Options(ControlMode::kEcl)));
+      RunArm(KvScanFactory(), high, ControlMode::kBaseline),
+      RunArm(KvScanFactory(), high, ControlMode::kEcl));
   EXPECT_GT(save_low, save_high);
 }
 
 TEST_F(EclIntegrationTest, IndexedWorkloadAlsoSaves) {
   workload::ConstantProfile profile(0.5, Seconds(20));
   const double savings = experiment::SavingsPercent(
-      RunLoadExperiment(KvIndexedFactory(), profile, Options(ControlMode::kBaseline)),
-      RunLoadExperiment(KvIndexedFactory(), profile, Options(ControlMode::kEcl)));
+      RunArm(KvIndexedFactory(), profile, ControlMode::kBaseline),
+      RunArm(KvIndexedFactory(), profile, ControlMode::kEcl));
   // Paper Table 1: indexed workloads save 15.8 % - 23.4 %.
   EXPECT_GT(savings, 8.0);
   EXPECT_LT(savings, 45.0);
@@ -105,9 +111,9 @@ TEST_F(EclIntegrationTest, IndexedWorkloadAlsoSaves) {
 TEST_F(EclIntegrationTest, DeterministicForSameOptions) {
   workload::ConstantProfile profile(0.4, Seconds(10));
   const RunResult a =
-      RunLoadExperiment(KvScanFactory(), profile, Options(ControlMode::kEcl));
+      RunArm(KvScanFactory(), profile, ControlMode::kEcl);
   const RunResult b =
-      RunLoadExperiment(KvScanFactory(), profile, Options(ControlMode::kEcl));
+      RunArm(KvScanFactory(), profile, ControlMode::kEcl);
   EXPECT_DOUBLE_EQ(a.energy_j, b.energy_j);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_DOUBLE_EQ(a.p99_ms, b.p99_ms);
@@ -119,10 +125,10 @@ TEST_F(EclIntegrationTest, OverloadExitsFasterThanBaseline) {
   // clears an overload phase faster.
   workload::StepProfile profile({{Seconds(0), 1.1}, {Seconds(10), 0.3}},
                                 Seconds(25));
-  const RunResult base = RunLoadExperiment(KvScanFactory(), profile,
-                                           Options(ControlMode::kBaseline));
+  const RunResult base =
+      RunArm(KvScanFactory(), profile, ControlMode::kBaseline);
   const RunResult ecl =
-      RunLoadExperiment(KvScanFactory(), profile, Options(ControlMode::kEcl));
+      RunArm(KvScanFactory(), profile, ControlMode::kEcl);
   EXPECT_LT(ecl.p99_ms, base.p99_ms);
 }
 

@@ -278,13 +278,14 @@ TEST(ConsolidationTest, LowLoadEmptiesAndParksASocket) {
   options.ecl.consolidation.enabled = true;
   options.engine.migration.min_shard_bytes = 128.0 * (1 << 20);
   workload::ConstantProfile profile(0.1, Seconds(60));
-  const experiment::RunResult r = experiment::RunLoadExperiment(
+  experiment::NodeRig rig(
       [](Engine* e) {
         workload::KvParams params;
         params.indexed = false;
         return std::make_unique<workload::KvWorkload>(e, params);
       },
-      profile, options);
+      options);
+  const experiment::RunResult r = experiment::Run(rig, profile);
   // At 10 % machine load one socket carries everything: the policy must
   // have emptied the other socket...
   EXPECT_GT(r.migrations, 0);
@@ -317,13 +318,14 @@ TEST(ConsolidationTest, DeterministicAcrossRuns) {
     options.ecl.consolidation.enabled = true;
     options.engine.migration.min_shard_bytes = 128.0 * (1 << 20);
     workload::ConstantProfile profile(0.1, Seconds(30));
-    return experiment::RunLoadExperiment(
+    experiment::NodeRig rig(
         [](Engine* e) {
           workload::KvParams params;
           params.indexed = false;
           return std::make_unique<workload::KvWorkload>(e, params);
         },
-        profile, options);
+        options);
+    return experiment::Run(rig, profile);
   };
   const experiment::RunResult a = run();
   const experiment::RunResult b = run();
@@ -344,13 +346,14 @@ TEST(ConsolidationTest, PressureSpreadsPartitionsBack) {
   options.engine.migration.min_shard_bytes = 32.0 * (1 << 20);
   workload::StepProfile profile({{Seconds(0), 0.1}, {Seconds(40), 0.9}},
                                 Seconds(80));
-  const experiment::RunResult r = experiment::RunLoadExperiment(
+  experiment::NodeRig rig(
       [](Engine* e) {
         workload::KvParams params;
         params.indexed = false;
         return std::make_unique<workload::KvWorkload>(e, params);
       },
-      profile, options);
+      options);
+  const experiment::RunResult r = experiment::Run(rig, profile);
   EXPECT_GT(r.consolidation_moves, 0);
   EXPECT_GT(r.spread_moves, 0);
   ASSERT_FALSE(r.series.empty());

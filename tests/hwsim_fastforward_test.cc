@@ -135,6 +135,12 @@ experiment::WorkloadFactory MicroFactory() {
   };
 }
 
+experiment::RunResult RunMicro(const workload::LoadProfile& profile,
+                               const experiment::RunOptions& options) {
+  experiment::NodeRig rig(MicroFactory(), options);
+  return experiment::Run(rig, profile);
+}
+
 void ExpectResultsIdentical(const experiment::RunResult& a,
                             const experiment::RunResult& b) {
   EXPECT_EQ(a.duration_s, b.duration_s);
@@ -164,11 +170,9 @@ TEST(FastForwardGoldenTest, BaselineExperimentBitIdentical) {
   options.mode = experiment::ControlMode::kBaseline;
   options.prime_duration = Seconds(2);
   options.fast_forward = false;
-  const experiment::RunResult slow =
-      RunLoadExperiment(MicroFactory(), profile, options);
+  const experiment::RunResult slow = RunMicro(profile, options);
   options.fast_forward = true;
-  const experiment::RunResult fast =
-      RunLoadExperiment(MicroFactory(), profile, options);
+  const experiment::RunResult fast = RunMicro(profile, options);
   ExpectResultsIdentical(slow, fast);
 }
 
@@ -182,11 +186,9 @@ TEST(FastForwardGoldenTest, EclExperimentBitIdentical) {
   options.mode = experiment::ControlMode::kEcl;
   options.prime_duration = Seconds(5);
   options.fast_forward = false;
-  const experiment::RunResult slow =
-      RunLoadExperiment(MicroFactory(), profile, options);
+  const experiment::RunResult slow = RunMicro(profile, options);
   options.fast_forward = true;
-  const experiment::RunResult fast =
-      RunLoadExperiment(MicroFactory(), profile, options);
+  const experiment::RunResult fast = RunMicro(profile, options);
   ExpectResultsIdentical(slow, fast);
 }
 

@@ -9,10 +9,8 @@
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "experiment/cluster_trace.h"
 #include "experiment/drain.h"
 #include "experiment/experiment.h"
-#include "experiment/loadgen_trace.h"
 #include "loadgen/admission.h"
 #include "loadgen/arrival.h"
 #include "loadgen/loadgen.h"
@@ -461,10 +459,9 @@ experiment::WorkloadFactory KvFactory() {
   };
 }
 
-experiment::SloRunOptions SmallSloOptions() {
-  experiment::SloRunOptions options;
-  options.run.prime_duration = Seconds(5);
-  options.loadgen.duration = Seconds(10);
+experiment::SloTraffic SmallSloTraffic() {
+  experiment::SloTraffic traffic;
+  traffic.loadgen.duration = Seconds(10);
   loadgen::TenantSpec premium;
   premium.name = "premium";
   premium.slo_class = SloClass::kPremium;
@@ -478,17 +475,29 @@ experiment::SloRunOptions SmallSloOptions() {
   besteff.arrival.num_users = 2'000'000;
   besteff.arrival.per_user_qps = 0.001;
   besteff.arrival.kind = ArrivalKind::kMmpp;
-  options.loadgen.tenants = {premium, besteff};
-  options.total_load = 0.3;
+  traffic.loadgen.tenants = {premium, besteff};
+  traffic.total_load = 0.3;
+  return traffic;
+}
+
+experiment::RunOptions SmallRunOptions() {
+  experiment::RunOptions options;
+  options.prime_duration = Seconds(5);
   return options;
 }
 
+experiment::RunResult RunSlo(const experiment::RunOptions& options,
+                             const experiment::SloTraffic& traffic) {
+  experiment::NodeRig rig(KvFactory(), options);
+  return experiment::Run(rig, traffic);
+}
+
 TEST(LoadgenRunTest, FastForwardIsBitIdentical) {
-  experiment::SloRunOptions options = SmallSloOptions();
-  options.run.fast_forward = true;
-  const experiment::SloRunResult ff = RunSloExperiment(KvFactory(), options);
-  options.run.fast_forward = false;
-  const experiment::SloRunResult slow = RunSloExperiment(KvFactory(), options);
+  experiment::RunOptions options = SmallRunOptions();
+  options.fast_forward = true;
+  const experiment::RunResult ff = RunSlo(options, SmallSloTraffic());
+  options.fast_forward = false;
+  const experiment::RunResult slow = RunSlo(options, SmallSloTraffic());
   EXPECT_EQ(ff.arrivals, slow.arrivals);
   EXPECT_EQ(ff.admitted, slow.admitted);
   EXPECT_EQ(ff.shed, slow.shed);
@@ -512,10 +521,10 @@ TEST(LoadgenRunTest, ClassArrivalsExcludeRetryReoffers) {
   // Regression: per-class arrivals were admitted + shed, and retry
   // re-offers pass admission too, so with retries on the classes summed
   // to arrivals + retries.
-  experiment::SloRunOptions options = SmallSloOptions();
-  options.total_load = 2.5;  // far past capacity: shedding drives retries
-  options.loadgen.retry.enabled = true;
-  const experiment::SloRunResult r = RunSloExperiment(KvFactory(), options);
+  experiment::SloTraffic traffic = SmallSloTraffic();
+  traffic.total_load = 2.5;  // far past capacity: shedding drives retries
+  traffic.loadgen.retry.enabled = true;
+  const experiment::RunResult r = RunSlo(SmallRunOptions(), traffic);
   ASSERT_GT(r.retries, 0);
   int64_t class_arrivals = 0;
   int64_t class_decisions = 0;
@@ -529,8 +538,7 @@ TEST(LoadgenRunTest, ClassArrivalsExcludeRetryReoffers) {
 }
 
 TEST(LoadgenRunTest, CompletionsBalanceAndClassesAreServed) {
-  const experiment::SloRunResult r =
-      RunSloExperiment(KvFactory(), SmallSloOptions());
+  const experiment::RunResult r = RunSlo(SmallRunOptions(), SmallSloTraffic());
   EXPECT_TRUE(r.drained);
   EXPECT_GT(r.arrivals, 0);
   EXPECT_EQ(r.arrivals, r.admitted + r.shed);
@@ -542,9 +550,9 @@ TEST(LoadgenRunTest, CompletionsBalanceAndClassesAreServed) {
 }
 
 TEST(LoadgenRunTest, OverloadShedsScavengersBeforePremium) {
-  experiment::SloRunOptions options = SmallSloOptions();
-  options.total_load = 2.5;  // far past capacity: pressure saturates
-  const experiment::SloRunResult r = RunSloExperiment(KvFactory(), options);
+  experiment::SloTraffic traffic = SmallSloTraffic();
+  traffic.total_load = 2.5;  // far past capacity: pressure saturates
+  const experiment::RunResult r = RunSlo(SmallRunOptions(), traffic);
   EXPECT_GT(r.shed, 0);
   EXPECT_EQ(r.classes[0].shed, 0);  // premium never pressure-shed
   EXPECT_GT(r.classes[2].shed, 0);
@@ -552,8 +560,8 @@ TEST(LoadgenRunTest, OverloadShedsScavengersBeforePremium) {
   // backlog it builds shows up as a far worse premium latency (the energy
   // side of the trade needs a trace long enough for the ECL to narrow —
   // that is pinned by bench/ablation_slo_tiers).
-  options.admission_enabled = false;
-  const experiment::SloRunResult all = RunSloExperiment(KvFactory(), options);
+  traffic.admission_enabled = false;
+  const experiment::RunResult all = RunSlo(SmallRunOptions(), traffic);
   EXPECT_EQ(all.shed, 0);
   EXPECT_EQ(all.arrivals, r.arrivals);  // admission never perturbs arrivals
   EXPECT_GE(all.energy_j, r.energy_j);
@@ -565,9 +573,9 @@ TEST(LoadgenRunTest, TelemetryExportIsDeterministicAndComplete) {
     telemetry::TelemetryParams tp;
     tp.enabled = true;
     telemetry::Telemetry tel(tp);
-    experiment::SloRunOptions options = SmallSloOptions();
-    options.run.telemetry = &tel;
-    return RunSloExperiment(KvFactory(), options).telemetry_dump;
+    experiment::RunOptions options = SmallRunOptions();
+    options.telemetry = &tel;
+    return RunSlo(options, SmallSloTraffic()).telemetry_dump;
   };
   const std::string dump = run_with_telemetry();
   // The traffic subsystem's names are all present...
@@ -591,12 +599,13 @@ TEST(LoadgenRunTest, NoLoadgenMetricsLeakIntoClassicRuns) {
   experiment::RunOptions options;
   options.prime_duration = Seconds(3);
   options.telemetry = &tel;
-  const experiment::RunResult r = experiment::RunLoadExperiment(
+  experiment::NodeRig rig(
       [](engine::Engine* e) -> std::unique_ptr<workload::Workload> {
         return std::make_unique<workload::MicroWorkload>(
             e, workload::ComputeBound(), 1e6, 2);
       },
-      profile, options);
+      options);
+  const experiment::RunResult r = experiment::Run(rig, profile);
   for (const char* prefix : {"loadgen/", "admission/", "slo/"}) {
     EXPECT_EQ(r.telemetry_dump.find(prefix), std::string::npos) << prefix;
   }
@@ -634,26 +643,29 @@ experiment::ClusterRunOptions SmallClusterOptions(bool any_node) {
   return options;
 }
 
+experiment::RunResult RunCluster(const workload::LoadProfile& profile,
+                                 bool any_node) {
+  experiment::ClusterRig rig(ClusterKvFactory(), SmallClusterOptions(any_node));
+  return experiment::Run(rig, profile);
+}
+
 TEST(LoadgenClusterTest, AnyNodeEntryForwardsAndStaysDeterministic) {
   // Load steps down hard so consolidation migrates partitions and powers a
   // node off mid-trace while traffic keeps entering at random nodes.
   const workload::StepProfile profile(
       {{0, 0.5}, {Seconds(10), 0.05}}, Seconds(30));
-  const experiment::ClusterRunResult home = RunClusterExperiment(
-      ClusterKvFactory(), profile, SmallClusterOptions(false));
-  const experiment::ClusterRunResult any = RunClusterExperiment(
-      ClusterKvFactory(), profile, SmallClusterOptions(true));
+  const experiment::RunResult home = RunCluster(profile, false);
+  const experiment::RunResult any = RunCluster(profile, true);
   // Home routing only crosses the network around migrations; any-node
   // routing crosses it on roughly half of every 2-node submission.
   EXPECT_GT(any.remote_sends, 4 * std::max<int64_t>(home.remote_sends, 1));
   // Re-homed partitions catch in-flight messages: the stale-epoch forward
   // path actually runs under placement churn.
-  EXPECT_GT(any.node_migrations, 0);
+  EXPECT_GT(any.migrations, 0);
   EXPECT_GT(any.stale_forwards, 0);
   EXPECT_EQ(any.completed, any.submitted);
   // Same options, same seeds, same simulation — bit for bit.
-  const experiment::ClusterRunResult again = RunClusterExperiment(
-      ClusterKvFactory(), profile, SmallClusterOptions(true));
+  const experiment::RunResult again = RunCluster(profile, true);
   EXPECT_EQ(again.submitted, any.submitted);
   EXPECT_EQ(again.remote_sends, any.remote_sends);
   EXPECT_EQ(again.stale_forwards, any.stale_forwards);
@@ -664,17 +676,15 @@ TEST(LoadgenClusterTest, AnyNodeEntryForwardsAndStaysDeterministic) {
 // Cluster SLO runs under scripted faults
 // ---------------------------------------------------------------------------
 
-experiment::ClusterSloRunOptions CrashRestartOptions(
-    telemetry::Telemetry* tel, bool fast_forward) {
-  experiment::ClusterSloRunOptions options;
+experiment::ClusterRunOptions CrashRestartOptions(telemetry::Telemetry* tel,
+                                                  bool fast_forward) {
+  experiment::ClusterRunOptions options;
   hwsim::ClusterNodeParams node;
   node.power.boot_latency = Seconds(2);  // the restart boots within the run
-  options.cluster.cluster = hwsim::ClusterParams::Homogeneous(3, node);
-  options.cluster.prime_duration = Seconds(3);
-  options.cluster.fast_forward = fast_forward;
-  options.cluster.telemetry = tel;
-  options.loadgen = SmallSloOptions().loadgen;
-  options.total_load = 0.3;
+  options.cluster = hwsim::ClusterParams::Homogeneous(3, node);
+  options.prime_duration = Seconds(3);
+  options.fast_forward = fast_forward;
+  options.telemetry = tel;
   options.faults.Crash(Seconds(3), 1).Restart(Seconds(5), 1);
   return options;
 }
@@ -691,13 +701,14 @@ TEST(LoadgenClusterTest, CrashRestartRunConservesQueriesAndIsDeterministic) {
     telemetry::TelemetryParams tp;
     tp.enabled = true;
     telemetry::Telemetry tel(tp);
-    const experiment::SloRunResult r = RunClusterSloExperiment(
-        ClusterKvFactory(), CrashRestartOptions(&tel, fast_forward));
+    experiment::ClusterRig rig(ClusterKvFactory(),
+                               CrashRestartOptions(&tel, fast_forward));
+    const experiment::RunResult r = experiment::Run(rig, SmallSloTraffic());
     *dump = r.telemetry_dump;
     return r;
   };
   std::string dump;
-  const experiment::SloRunResult r = run(true, &dump);
+  const experiment::RunResult r = run(true, &dump);
   EXPECT_TRUE(r.drained);
   EXPECT_GT(r.completed, 0);
   // The crash fails the dead node's in-flight queries back to the client;
@@ -717,13 +728,13 @@ TEST(LoadgenClusterTest, CrashRestartRunConservesQueriesAndIsDeterministic) {
 
   // Same options, same run: dump and series byte for byte.
   std::string again_dump;
-  const experiment::SloRunResult again = run(true, &again_dump);
+  const experiment::RunResult again = run(true, &again_dump);
   EXPECT_EQ(again_dump, dump);
   EXPECT_EQ(again.series, r.series);
 
   // Fast-forward off: identical series rows.
   std::string slow_dump;
-  const experiment::SloRunResult slow = run(false, &slow_dump);
+  const experiment::RunResult slow = run(false, &slow_dump);
   EXPECT_EQ(slow.series.header, r.series.header);
   ASSERT_EQ(slow.series.size(), r.series.size());
   for (size_t i = 0; i < r.series.size(); ++i) {

@@ -366,7 +366,8 @@ experiment::RunResult SeriesRun(Telemetry* tel) {
   options.mode = experiment::ControlMode::kEcl;
   options.prime_duration = Seconds(3);
   options.telemetry = tel;
-  return experiment::RunLoadExperiment(MicroFactory(), profile, options);
+  experiment::NodeRig rig(MicroFactory(), options);
+  return experiment::Run(rig, profile);
 }
 
 TEST(ExperimentTelemetryTest, SeriesIsTheSameWithOrWithoutCallerTelemetry) {
@@ -383,7 +384,7 @@ TEST(ExperimentTelemetryTest, SeriesIsTheSameWithOrWithoutCallerTelemetry) {
   EXPECT_EQ(local.energy_j, shared.energy_j);
   EXPECT_EQ(local.p99_ms, shared.p99_ms);
   ASSERT_EQ(local.series.size(), 16u);
-  ASSERT_EQ(local.series.header.size(), 11u);  // t_s + 6 + 2 per socket
+  ASSERT_EQ(local.series.header.size(), 12u);  // t_s + 7 + 2 per socket
   EXPECT_GT(shared.series.header.size(), local.series.header.size());
   for (const std::string& name : local.series.header) {
     EXPECT_EQ(local.series.Column(name), shared.series.Column(name)) << name;
@@ -445,8 +446,8 @@ std::vector<ArmArtifacts> RunArms(int jobs) {
     options.prime_duration = Seconds(3);
     options.driver_seed = 4242 + static_cast<uint64_t>(i);
     options.telemetry = tels[static_cast<size_t>(i)].get();
-    results[static_cast<size_t>(i)] =
-        experiment::RunLoadExperiment(MicroFactory(), profile, options);
+    experiment::NodeRig rig(MicroFactory(), options);
+    results[static_cast<size_t>(i)] = experiment::Run(rig, profile);
   });
   std::vector<ArmArtifacts> out(kArms);
   for (int i = 0; i < kArms; ++i) {
@@ -487,13 +488,14 @@ experiment::RunResult ConsolidationRun(bool exclude_polls) {
   options.engine.migration.min_shard_bytes = 128.0 * (1 << 20);
   workload::StepProfile profile(
       {{0, 0.6}, {Seconds(20), 0.1}, {Seconds(100), 0.6}}, Seconds(120));
-  return experiment::RunLoadExperiment(
+  experiment::NodeRig rig(
       [](engine::Engine* e) -> std::unique_ptr<workload::Workload> {
         workload::KvParams params;
         params.indexed = false;
         return std::make_unique<workload::KvWorkload>(e, params);
       },
-      profile, options);
+      options);
+  return experiment::Run(rig, profile);
 }
 
 TEST(ConsolidationRegressionTest, PollExclusionImprovesConsolidatedEnergy) {
