@@ -14,6 +14,7 @@
 //   learned warm     the predictor additionally starts from a serialized
 //                    learn cache of a previous run (DBMS restart).
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -28,6 +29,17 @@ experiment::DriftTraceParams ArmParams(bool learned) {
   experiment::DriftTraceParams p;
   p.predictor.enabled = learned;
   return p;
+}
+
+std::string DescribeBest(const experiment::DriftTracePhase& p) {
+  if (!p.best_config) return "";
+  const hwsim::SocketConfig& hw = p.best_config->hw;
+  const hwsim::Topology topo = hwsim::MachineParams::HaswellEp().topology;
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%2d thr @ %.1f GHz, uncore %.1f",
+                hw.ActiveThreadCount(), hw.MeanActiveCoreFreq(topo),
+                hw.uncore_freq_ghz);
+  return buf;
 }
 
 double MeanRecurringAdapt(const experiment::DriftTraceResult& r) {
@@ -78,7 +90,7 @@ int main(int argc, char** argv) {
       table.AddRow({names[i], FmtInt(static_cast<int64_t>(ph)), p.workload,
                     Fmt(p.adapt_s, 0), FmtInt(p.evals), FmtInt(p.seeded),
                     Fmt(p.energy_j, 0), Fmt(p.tail_energy_j, 0),
-                    Fmt(p.tail_p99_ms, 2), p.best_config});
+                    Fmt(p.tail_p99_ms, 2), DescribeBest(p)});
     }
   }
   table.Print();

@@ -4,8 +4,8 @@
 // This is also the adaptation-strategy ablation from DESIGN.md.
 #include <vector>
 
-#include "adaptation_experiment.h"
 #include "bench_common.h"
+#include "experiment/drift_trace.h"
 #include "experiment/run_matrix.h"
 
 using namespace ecldb;
@@ -17,14 +17,18 @@ int main(int argc, char** argv) {
       "Workload switch at t=40 s, load fixed at 50 %, 1 Hz ECL: power over "
       "time and total energy for static / online / multiplexed profile "
       "maintenance.");
-  // The three maintenance strategies are independent simulations.
-  const bench::AdaptationMode modes[] = {bench::AdaptationMode::kStatic,
-                                         bench::AdaptationMode::kOnline,
-                                         bench::AdaptationMode::kMultiplexed};
-  std::vector<bench::AdaptationResult> results(3);
+  // The static, online and multiplexed maintenance strategies are
+  // independent simulations: indexed KV for 40 s, then scans for 80 s.
+  std::vector<experiment::DriftTraceResult> results(3);
   experiment::RunMatrix(3, jobs, [&](int i) {
-    results[static_cast<size_t>(i)] =
-        bench::RunAdaptationExperiment(modes[i]);
+    experiment::DriftTraceParams p;
+    p.online = i >= 1;
+    p.multiplexed = i == 2;
+    p.phases = {{experiment::DriftWorkload::kIndexed, 0.5, Seconds(40),
+                 Seconds(40)},
+                {experiment::DriftWorkload::kScan, 0.5, Seconds(80),
+                 Seconds(80)}};
+    results[static_cast<size_t>(i)] = experiment::RunDriftTrace(p);
   });
   const auto& none = results[0];
   const auto& online = results[1];
@@ -53,9 +57,12 @@ int main(int argc, char** argv) {
   std::printf("\n-- total energy --\n");
   TablePrinter totals({"strategy", "energy J (120 s)", "after switch J",
                        "final best config"});
-  auto row = [&](const char* name, const bench::AdaptationResult& r) {
-    totals.AddRow({name, Fmt(r.energy_j, 0), Fmt(r.energy_after_switch_j, 0),
-                   r.final_best_config});
+  const hwsim::Topology topo = hwsim::MachineParams::HaswellEp().topology;
+  auto row = [&](const char* name, const experiment::DriftTraceResult& r) {
+    const experiment::DriftTracePhase& after = r.phases[1];
+    totals.AddRow({name, Fmt(r.total_energy_j, 0), Fmt(after.energy_j, 0),
+                   after.best_config ? bench::Describe(topo, *after.best_config)
+                                     : ""});
   };
   row("ECL static", none);
   row("ECL online", online);

@@ -9,6 +9,13 @@
 
 namespace ecldb::ecl {
 
+/// After a node crash (hwsim::Cluster::Crash), hold all policy power-downs
+/// this long: the survivors are absorbing the re-homed partitions and the
+/// retrying crowd, and shrinking capacity into that transient turns a
+/// fault into an overload. Failed nodes themselves are never wake
+/// candidates until the fault schedule clears them.
+constexpr SimDuration kCrashRecoveryHold = Seconds(30);
+
 ClusterEcl::ClusterEcl(sim::Simulator* simulator,
                        engine::ClusterEngine* engine, LoadFn load,
                        PressureFn pressure, const ClusterEclParams& params)
@@ -245,8 +252,7 @@ void ClusterEcl::MaybePowerDown() {
   // Crash recovery in progress: survivors are absorbing re-homed
   // partitions and retries; do not shrink capacity into that transient.
   if (cluster.last_crash_time() >= 0 &&
-      simulator_->now() - cluster.last_crash_time() <
-          params_.crash_recovery_hold) {
+      simulator_->now() - cluster.last_crash_time() < kCrashRecoveryHold) {
     return;
   }
   for (NodeId n = 0; n < cluster.num_nodes(); ++n) {

@@ -52,12 +52,6 @@ struct ClusterEclParams {
   SimDuration post_migration_hold = Seconds(30);
   /// Never power below this many nodes.
   int min_nodes_on = 1;
-  /// After a node crash (hwsim::Cluster::Crash), hold all policy
-  /// power-downs this long: the survivors are absorbing the re-homed
-  /// partitions and the retrying crowd, and shrinking capacity into that
-  /// transient turns a fault into an overload. Failed nodes themselves
-  /// are never wake candidates until the fault schedule clears them.
-  SimDuration crash_recovery_hold = Seconds(30);
   /// Optional telemetry: tick/move counters plus instants for each
   /// power-down/wake decision on a "cluster/ecl" lane.
   telemetry::Telemetry* telemetry = nullptr;

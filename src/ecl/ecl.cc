@@ -57,9 +57,9 @@ double EnergyControlLoop::MeanPerfLevelFrac() const {
 
 void EnergyControlLoop::Start() {
   hwsim::Machine& machine = engine_->machine();
-  if (params_.set_epb_performance) {
-    machine.SetEpb(hwsim::EpbSetting::kPerformance);
-  }
+  // Explicit energy control pins the EPB to performance mode (the
+  // conclusion of the paper's Section 2.3).
+  machine.SetEpb(hwsim::EpbSetting::kPerformance);
   for (SocketId s = 0; s < machine.topology().num_sockets; ++s) {
     machine.SetUncoreMode(s, hwsim::UncoreMode::kPinned);
   }

@@ -18,9 +18,6 @@ struct EclParams {
   SocketEclParams socket;
   SystemEclParams system;
   profile::GeneratorParams generator;
-  /// Pin the EPB to performance mode when doing explicit energy control
-  /// (the conclusion of the paper's Section 2.3).
-  bool set_epb_performance = true;
   /// Whole-socket consolidation through live partition migration
   /// (disabled by default; see ConsolidationPolicy).
   ConsolidationParams consolidation;

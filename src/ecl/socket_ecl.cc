@@ -8,6 +8,9 @@
 
 namespace ecldb::ecl {
 
+/// Fraction of an interval that may be spent on multiplexed reevaluation.
+constexpr double kMaxEvalFraction = 0.75;
+
 SocketEcl::SocketEcl(sim::Simulator* simulator, hwsim::Machine* machine,
                      SocketId socket, profile::EnergyProfile profile,
                      SystemEcl* system, std::function<double()> util_source,
@@ -399,7 +402,7 @@ void SocketEcl::Tick() {
   std::vector<int> evals = maintenance_.PickForReevaluation(profile_, now);
   const SimDuration eval_each = params_.apply_settle + params_.measure_time;
   const SimDuration eval_budget = static_cast<SimDuration>(
-      params_.max_eval_fraction * static_cast<double>(params_.interval));
+      kMaxEvalFraction * static_cast<double>(params_.interval));
   while (!evals.empty() &&
          static_cast<SimDuration>(evals.size()) * eval_each > eval_budget) {
     evals.pop_back();

@@ -37,9 +37,6 @@ struct SocketEclParams {
   SimDuration measure_time = Millis(100);
   /// Settle time after applying a configuration before measuring (1 ms).
   SimDuration apply_settle = Millis(1);
-  /// Fraction of an interval that may be spent on multiplexed
-  /// reevaluation.
-  double max_eval_fraction = 0.75;
   /// Excludes the idle-polling instructions of workless active threads
   /// from the measured performance level. The paper's currency counts all
   /// instructions retired, so a consolidated receiver socket running many

@@ -33,9 +33,6 @@ Engine::Engine(sim::Simulator* simulator, hwsim::Machine* machine,
   migrator_ = std::make_unique<MigrationCoordinator>(
       simulator, machine, db_.get(), placement_.get(), layer_.get(),
       scheduler_.get(), mig_params);
-  if (params.morsel_threads > 0) {
-    morsel_pool_ = std::make_unique<MorselPool>(params.morsel_threads);
-  }
   if (params.telemetry != nullptr) {
     // Per-kernel dispatch counters. The raw counters are process-global
     // atomics (morsel workers bump them concurrently); exporting the delta

@@ -6,7 +6,6 @@
 #include "common/types.h"
 #include "engine/database.h"
 #include "engine/migration.h"
-#include "engine/morsel.h"
 #include "engine/placement.h"
 #include "engine/query.h"
 #include "engine/scheduler.h"
@@ -23,12 +22,6 @@ struct EngineParams {
   msg::MessageLayerParams message_layer;
   SchedulerParams scheduler;
   MigrationParams migration;
-  /// Extra real threads for morsel-driven intra-query parallelism on the
-  /// functional executor path (0: no pool, serial pipelines). These are
-  /// host threads of the embedding process, not simulated workers — the
-  /// fluid-simulation analogue is SchedulerParams::morsel_ops /
-  /// PartitionWork::morsels.
-  int morsel_threads = 0;
   /// Optional telemetry context, propagated to the message layer, the
   /// scheduler, and the migration coordinator (overrides their individual
   /// params fields when set).
@@ -74,10 +67,6 @@ class Engine {
   LatencyTracker& latency() { return scheduler_->latency(); }
   const LatencyTracker& latency() const { return scheduler_->latency(); }
 
-  /// Morsel worker pool for functional pipelines; nullptr when
-  /// EngineParams::morsel_threads is 0.
-  MorselPool* morsel_pool() { return morsel_pool_.get(); }
-
  private:
   sim::Simulator* simulator_;
   hwsim::Machine* machine_;
@@ -86,7 +75,6 @@ class Engine {
   std::unique_ptr<msg::MessageLayer> layer_;
   std::unique_ptr<Scheduler> scheduler_;
   std::unique_ptr<MigrationCoordinator> migrator_;
-  std::unique_ptr<MorselPool> morsel_pool_;
 };
 
 }  // namespace ecldb::engine

@@ -1,6 +1,5 @@
 #include "experiment/drift_trace.h"
 
-#include <cstdio>
 #include <memory>
 #include <utility>
 
@@ -17,25 +16,12 @@
 #include "workload/workload.h"
 
 namespace ecldb::experiment {
-namespace {
-
-std::string DescribeBest(const hwsim::Topology& topo,
-                         const profile::EnergyProfile& prof) {
-  const int best = prof.MostEfficientIndex();
-  if (best < 0) return "";
-  const profile::Configuration& c = prof.config(best);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%2d thr @ %.1f GHz, uncore %.1f",
-                c.hw.ActiveThreadCount(), c.hw.MeanActiveCoreFreq(topo),
-                c.hw.uncore_freq_ghz);
-  return buf;
-}
-
-}  // namespace
 
 DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
-  ECLDB_CHECK(params.num_switch_phases >= 1);
-  ECLDB_CHECK(params.tail <= params.phase_len);
+  ECLDB_CHECK(!params.phases.empty());
+  for (const DriftPhase& spec : params.phases) {
+    ECLDB_CHECK(spec.tail <= spec.length);
+  }
 
   RunOptions options;
   options.ecl.socket.predictor = params.predictor;
@@ -79,8 +65,7 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
 
   ecl::SocketEcl& socket0 = loop.socket(0);
   const SimDuration stale_age = socket0.maintenance().params().stale_age;
-  const int phase_secs = static_cast<int>(ToSeconds(params.phase_len));
-  const int tail_secs = static_cast<int>(ToSeconds(params.tail));
+  const double latency_limit_ms = rig.options().ecl.system.latency_limit_ms;
 
   const double cap_indexed = rig.capacity();
   const double cap_scan = workload::BaselineCapacityQps(machine_params, *scan);
@@ -94,9 +79,11 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
   std::vector<std::unique_ptr<workload::ConstantProfile>> profiles;
   std::vector<std::unique_ptr<workload::LoadDriver>> drivers;
 
-  for (int phase = 0; phase < params.num_switch_phases; ++phase) {
-    const bool is_scan = (phase % 2) == 0;
+  for (const DriftPhase& spec : params.phases) {
+    const bool is_scan = spec.workload == DriftWorkload::kScan;
     workload::Workload& wl = is_scan ? *scan : indexed;
+    const int phase_secs = static_cast<int>(ToSeconds(spec.length));
+    const int tail_secs = static_cast<int>(ToSeconds(spec.tail));
 
     DriftTracePhase ph;
     ph.workload = is_scan ? "kv-scan" : "kv-indexed";
@@ -106,7 +93,7 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
     const int64_t drifts0 = socket0.maintenance().drift_flags();
 
     profiles.push_back(std::make_unique<workload::ConstantProfile>(
-        params.load, params.phase_len));
+        spec.load, spec.length));
     workload::DriverParams dp;
     dp.capacity_qps = is_scan ? cap_scan : cap_indexed;
     drivers.push_back(std::make_unique<workload::LoadDriver>(
@@ -141,8 +128,12 @@ DriftTraceResult RunDriftTrace(const DriftTraceParams& params) {
     ph.seeded = socket0.maintenance().predictor_seeded_configs() - seeded0;
     ph.energy_j = machine.TotalEnergyJoules() - phase_e0;
     ph.tail_energy_j = machine.TotalEnergyJoules() - tail_e0;
+    ph.tail_mean_ms = engine.latency().all().Mean();
     ph.tail_p99_ms = engine.latency().all().Percentile(99);
-    ph.best_config = DescribeBest(machine.topology(), socket0.profile());
+    ph.tail_violation_frac =
+        engine.latency().all().FractionAbove(latency_limit_ms);
+    const int best = socket0.profile().MostEfficientIndex();
+    if (best >= 0) ph.best_config = socket0.profile().config(best);
     result.phases.push_back(std::move(ph));
   }
 

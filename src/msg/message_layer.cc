@@ -6,6 +6,9 @@
 
 namespace ecldb::msg {
 
+/// Most messages one PumpComm call delivers from a socket's endpoint.
+constexpr size_t kCommPumpBatch = 256;
+
 MessageLayer::MessageLayer(int num_sockets, const PlacementView* placement,
                            const MessageLayerParams& params)
     : params_(params), placement_(placement) {
@@ -90,8 +93,7 @@ bool MessageLayer::DeliverAt(SocketId at, const Message& m) {
 }
 
 size_t MessageLayer::PumpComm(SocketId socket) {
-  return comms_[static_cast<size_t>(socket)]->Pump(deliver_,
-                                                   params_.comm_pump_batch);
+  return comms_[static_cast<size_t>(socket)]->Pump(deliver_, kCommPumpBatch);
 }
 
 size_t MessageLayer::Rehome(PartitionId p, SocketId from, SocketId to) {

@@ -17,7 +17,6 @@ namespace ecldb::msg {
 struct MessageLayerParams {
   size_t partition_queue_capacity = 1 << 14;
   size_t comm_channel_capacity = 1 << 14;
-  size_t comm_pump_batch = 256;
   /// Optional telemetry context. When set, the layer's backpressure and
   /// forwarding counters live in the registry (`msg/socket{S}/...`) and
   /// per-socket queue-occupancy gauges are registered. Counter semantics

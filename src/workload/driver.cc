@@ -48,10 +48,8 @@ void LoadDriver::ScheduleNext() {
     simulator_->ScheduleAfter(Millis(50), [this] { ScheduleNext(); });
     return;
   }
-  const double gap_s =
-      params_.poisson ? rng_.NextExponential(rate) : 1.0 / rate;
   const SimDuration gap = std::max<SimDuration>(
-      Nanos(100), static_cast<SimDuration>(gap_s * 1e9));
+      Nanos(100), static_cast<SimDuration>(rng_.NextExponential(rate) * 1e9));
   simulator_->ScheduleAfter(gap, [this] {
     const SimTime t = simulator_->now() - start_time_;
     if (t < profile_->duration()) {

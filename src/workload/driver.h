@@ -16,15 +16,14 @@ struct DriverParams {
   /// Queries per second at relative load 1.0. Usually
   /// BaselineCapacityQps(machine_params, workload).
   double capacity_qps = 1000.0;
-  /// Open-loop Poisson arrivals when true; deterministic spacing otherwise.
-  bool poisson = true;
   uint64_t seed = 4242;
 };
 
-/// Open-loop load driver: submits workload queries following a load
-/// profile (arrival rate = LoadAt(t) * capacity_qps). Queries are submitted
-/// regardless of completion — overload phases therefore build up backlog
-/// exactly as an external client population would.
+/// Open-loop load driver: submits workload queries as a Poisson process
+/// following a load profile (arrival rate = LoadAt(t) * capacity_qps).
+/// Queries are submitted regardless of completion — overload phases
+/// therefore build up backlog exactly as an external client population
+/// would.
 class LoadDriver {
  public:
   /// Where each generated query goes: one engine, or a rig's entry routing

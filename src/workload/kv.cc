@@ -8,6 +8,8 @@ namespace {
 
 constexpr char kTable[] = "kv";
 constexpr char kIndex[] = "kv_pk";
+/// Seed of the Zipf partition-rank generator (zipf_theta > 0).
+constexpr uint64_t kZipfSeed = 71;
 
 }  // namespace
 
@@ -18,7 +20,7 @@ KvWorkload::KvWorkload(engine::Engine* engine, const KvParams& params)
   if (params.zipf_theta > 0.0) {
     zipf_ = std::make_unique<ZipfGenerator>(
         static_cast<uint64_t>(engine->db().num_partitions()),
-        params.zipf_theta, params.zipf_seed);
+        params.zipf_theta, kZipfSeed);
   }
 }
 

@@ -31,7 +31,6 @@ struct KvParams {
   /// access concentrates load on few partitions, which the elastic
   /// architecture balances implicitly (paper Section 3, "Load Balancing").
   double zipf_theta = 0.0;
-  uint64_t zipf_seed = 71;
 };
 
 /// Custom key-value store benchmark (simulation + functional modes).

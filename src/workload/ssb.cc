@@ -462,7 +462,7 @@ SsbWorkload::QueryResult SsbWorkload::RunQuery(int flight, int number) {
     engine::FilterOperator filter(lo, plan.predicates);
     engine::HashAggregator aggregator(plan.group_by, plan.value);
     result.rows_scanned += engine::RunMorselAggregationPipeline(
-        lo, filter, &aggregator, engine_->morsel_pool());
+        lo, filter, &aggregator, /*pool=*/nullptr);
     if (!merged_init) {
       merged = engine::HashAggregator(plan.group_by, plan.value);
       merged_init = true;

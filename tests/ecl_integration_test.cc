@@ -2,8 +2,8 @@
 
 #include <memory>
 
+#include "experiment/drift_trace.h"
 #include "experiment/experiment.h"
-#include "workload/driver.h"
 #include "workload/kv.h"
 #include "workload/load_profile.h"
 #include "workload/micro.h"
@@ -137,36 +137,15 @@ TEST_F(EclIntegrationTest, DisablingAdaptationHurtsAfterWorkloadChange) {
   // the non-indexed key-value workload. With profile maintenance the ECL
   // re-learns; with a stale (static) profile it wastes energy.
   auto run = [&](bool maintain) {
-    sim::Simulator sim;
-    hwsim::Machine machine(&sim, hwsim::MachineParams::HaswellEp());
-    engine::Engine engine(&sim, &machine, engine::EngineParams{});
-    workload::KvParams pi;
-    pi.indexed = true;
-    workload::KvWorkload indexed(&engine, pi);
-    workload::KvParams ps;
-    ps.indexed = false;
-    workload::KvWorkload scan(&engine, ps);
-
-    ecl::EclParams params;
-    params.socket.maintenance.enable_online = maintain;
-    params.socket.maintenance.enable_multiplexed = maintain;
-    ecl::EnergyControlLoop loop(&sim, &engine, params);
-    loop.Start();
-    // Prime on the indexed workload.
-    engine.scheduler().SetSyntheticLoad(&indexed.profile());
-    sim.RunFor(Seconds(28));
-    engine.scheduler().SetSyntheticLoad(nullptr);
-
-    // Run the *scan* workload at 50 % load with the indexed profile.
-    const double cap = workload::BaselineCapacityQps(machine.params(), scan);
-    workload::ConstantProfile profile(0.5, Seconds(40));
-    workload::DriverParams dp;
-    dp.capacity_qps = cap;
-    workload::LoadDriver driver(&sim, &engine, &scan, &profile, dp);
-    const double e0 = machine.TotalEnergyJoules();
-    driver.Start();
-    sim.RunFor(Seconds(40));
-    return machine.TotalEnergyJoules() - e0;
+    // Prime on the indexed workload, then run the *scan* workload at 50 %
+    // load starting from the indexed profile.
+    experiment::DriftTraceParams p;
+    p.online = maintain;
+    p.multiplexed = maintain;
+    p.prime = Seconds(28);
+    p.phases = {{experiment::DriftWorkload::kScan, 0.5, Seconds(40),
+                 Seconds(40)}};
+    return experiment::RunDriftTrace(p).total_energy_j;
   };
   const double adaptive_j = run(true);
   const double static_j = run(false);

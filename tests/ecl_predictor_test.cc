@@ -327,6 +327,44 @@ TEST(LearnedProfileRegressionTest, RecurringDriftConvergesFastAndCloseToFull) {
       << " s over recurring phases";
 }
 
+// ---- Fig. 15/16 adaptation arms -------------------------------------------
+
+TEST(AdaptationArmsTest, StaticArmNeverReevaluatesAndPaysAfterTheSwitch) {
+  // The two-phase Fig. 15 trace (indexed 40 s, then scans 80 s at 50 %
+  // load): the static arm keeps the indexed profile, so it measures
+  // nothing and runs a worse configuration after the switch than the
+  // multiplexed arm, which relearns the profile.
+  experiment::DriftTraceResult arms[2];
+  experiment::RunMatrix(2, 2, [&](int i) {
+    experiment::DriftTraceParams p;
+    p.online = i == 1;
+    p.multiplexed = i == 1;
+    p.phases = {{experiment::DriftWorkload::kIndexed, 0.5, Seconds(40),
+                 Seconds(40)},
+                {experiment::DriftWorkload::kScan, 0.5, Seconds(80),
+                 Seconds(80)}};
+    arms[i] = RunDriftTrace(p);
+  });
+  const experiment::DriftTraceResult& fixed = arms[0];
+  const experiment::DriftTraceResult& mux = arms[1];
+
+  for (const experiment::DriftTraceResult* r : {&fixed, &mux}) {
+    ASSERT_EQ(r->phases.size(), 2u);
+    EXPECT_EQ(r->phases[0].workload, "kv-indexed");
+    EXPECT_EQ(r->phases[1].workload, "kv-scan");
+    EXPECT_EQ(r->power_w.size(), 120u);  // one entry per simulated second
+    EXPECT_NEAR(r->phases[0].energy_j + r->phases[1].energy_j,
+                r->total_energy_j, 1e-6 * r->total_energy_j);
+    EXPECT_TRUE(r->phases[1].best_config.has_value());
+  }
+  for (const experiment::DriftTracePhase& ph : fixed.phases) {
+    EXPECT_EQ(ph.evals, 0) << ph.workload;
+    EXPECT_EQ(ph.adapt_s, -1.0) << ph.workload;
+  }
+  EXPECT_GT(mux.phases[1].evals, 0);
+  EXPECT_GT(fixed.phases[1].energy_j, mux.phases[1].energy_j);
+}
+
 // ---- Telemetry determinism ------------------------------------------------
 
 experiment::DriftTraceParams ShortTrace(telemetry::Telemetry* tel,
@@ -334,9 +372,8 @@ experiment::DriftTraceParams ShortTrace(telemetry::Telemetry* tel,
   experiment::DriftTraceParams p;
   p.predictor.enabled = learned;
   p.prime = Seconds(10);
-  p.num_switch_phases = 1;
-  p.phase_len = Seconds(10);
-  p.tail = Seconds(5);
+  p.phases = {{experiment::DriftWorkload::kScan, 0.4, Seconds(10),
+               Seconds(5)}};
   p.telemetry = tel;
   return p;
 }
