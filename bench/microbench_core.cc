@@ -35,6 +35,24 @@ void BM_MpmcRingPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_MpmcRingPushPop);
 
+// A default-capacity message ring takes 63 messages per segment, so each
+// push-64/pop-64 lap links in (and later frees) one segment.
+void BM_MpmcRingSegmentCrossing(benchmark::State& state) {
+  msg::MpmcRing<msg::Message> ring(1 << 14);
+  msg::Message m;
+  msg::Message out;
+  for (auto _ : state) {
+    for (int i = 0; i < 64; ++i) {
+      ring.TryPush(m);
+      ++m.query_id;
+    }
+    for (int i = 0; i < 64; ++i) ring.TryPop(&out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_MpmcRingSegmentCrossing);
+
 void BM_PartitionQueueBatch(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   msg::PartitionQueue q(0, 1 << 12);

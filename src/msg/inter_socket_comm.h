@@ -53,7 +53,7 @@ class CommEndpoint {
   /// Messages waiting in all outboxes, held ones included (approximate).
   size_t OutboundPendingApprox() const;
 
-  /// Ring storage of all outboxes (0 until a message is buffered).
+  /// Ring segments held by all outboxes (0 until a message is buffered).
   size_t MemoryBytes() const;
 
   /// Total messages ever transferred by this endpoint.

@@ -102,9 +102,9 @@ class MessageLayer {
   /// Pending messages anywhere in the layer (approximate).
   size_t PendingApprox() const;
 
-  /// Ring storage of every partition queue and comm outbox. A ring is
-  /// allocated by its first message, so this counts only the rings that
-  /// ever received one.
+  /// Ring segments held now by every partition queue and comm outbox. A
+  /// ring holds none until its first message and at most one once
+  /// drained, so this follows the queued messages, not the ring count.
   size_t MemoryBytes() const;
 
  private:

@@ -50,7 +50,8 @@ class PartitionQueue {
 
   size_t SizeApprox() const { return ring_.SizeApprox(); }
   bool EmptyApprox() const { return ring_.EmptyApprox(); }
-  /// Ring storage: 0 until the first message arrives (see MpmcRing).
+  /// Ring segments held now: none before the first message, then in step
+  /// with the queued messages (see MpmcRing).
   size_t MemoryBytes() const { return ring_.MemoryBytes(); }
 
   /// Running total of fluid operations queued (sum of MessageOps over the

@@ -7,6 +7,8 @@
 #include "engine/cluster_engine.h"
 #include "hwsim/cluster.h"
 #include "hwsim/machine.h"
+#include "msg/message_layer.h"
+#include "msg/mpmc_ring.h"
 #include "sim/simulator.h"
 #include "workload/work_profiles.h"
 
@@ -47,6 +49,13 @@ class ClusterEngineTest : public ::testing::Test {
     return spec;
   }
 
+  /// Bytes of one segment of a default-capacity partition queue's ring.
+  static size_t RingSegmentBytes() {
+    return msg::MpmcRing<msg::Message>(
+               msg::MessageLayerParams{}.partition_queue_capacity)
+        .segment_bytes();
+  }
+
   sim::Simulator sim_;
   std::unique_ptr<hwsim::Cluster> cluster_;
   std::unique_ptr<ClusterEngine> engine_;
@@ -85,7 +94,8 @@ TEST_F(ClusterEngineTest, CrossNodeSubmitShipsAndCompletes) {
 
 TEST_F(ClusterEngineTest, MessageRingsAllocateOnFirstMessage) {
   // Every node engine has a queue for every cluster partition, but only
-  // queues that receive a message hold ring storage.
+  // queues that receive a message hold ring storage, and a drained one
+  // keeps a single segment.
   Build(hwsim::ClusterParams::Homogeneous(4, hwsim::ClusterNodeParams{}),
         ClusterEngineParams{});
   auto ring_bytes = [this] {
@@ -101,14 +111,16 @@ TEST_F(ClusterEngineTest, MessageRingsAllocateOnFirstMessage) {
   engine_->Submit((home + 1) % engine_->num_nodes(), ComputeQuery(p, 1e6));
   sim_.RunFor(Millis(100));
   EXPECT_EQ(engine_->CompletedQueries(), 1);
+  const size_t segment = RingSegmentBytes();
   for (NodeId n = 0; n < engine_->num_nodes(); ++n) {
     msg::MessageLayer& layer = engine_->node_engine(n).message_layer();
     for (PartitionId q = 0; q < engine_->num_partitions(); ++q) {
-      EXPECT_EQ(layer.partition_queue(q)->MemoryBytes() > 0,
-                n == home && q == p)
+      EXPECT_EQ(layer.partition_queue(q)->MemoryBytes(),
+                n == home && q == p ? segment : 0u)
           << "node " << n << " partition " << q;
     }
   }
+  EXPECT_EQ(ring_bytes(), segment);  // no outbox was used either
 }
 
 TEST_F(ClusterEngineTest, MultiNodeQuerySplitsByHomeNode) {
@@ -160,6 +172,33 @@ TEST_F(ClusterEngineTest, NodeMigrationRehomesWithExactness) {
   sim_.RunFor(Millis(100));
   EXPECT_EQ(engine_->CompletedQueries(), kQueries + 1);
   EXPECT_EQ(engine_->remote_sends(), sends_before);
+}
+
+TEST_F(ClusterEngineTest, MigratedPartitionQueueShrinksOnTheOldHome) {
+  // Partition 0 leaves node 0 with a backlog of several ring segments
+  // queued there. The backlog completes on node 0 (the drain barrier),
+  // after which its queue keeps at most the segment it would fill next,
+  // so node 0's ring memory falls instead of staying at its peak.
+  ClusterEngineParams params;
+  params.migration.min_shard_bytes = 16.0 * (1 << 20);
+  Build(hwsim::ClusterParams::Homogeneous(2, hwsim::ClusterNodeParams{}),
+        params);
+  const msg::MessageLayer& old_home = engine_->node_engine(0).message_layer();
+  const msg::PartitionQueue& queue = *old_home.partition_queue(0);
+  const size_t segment = RingSegmentBytes();
+  const int kQueries = 200;
+  for (int i = 0; i < kQueries; ++i) engine_->Submit(0, ComputeQuery(0, 1e6));
+  const size_t backlog_bytes = old_home.MemoryBytes();
+  EXPECT_GE(queue.MemoryBytes(), 3 * segment);
+  sim_.ScheduleAfter(Millis(1),
+                     [&] { EXPECT_TRUE(engine_->StartMigration(0, 1)); });
+  sim_.RunFor(Seconds(5));
+  EXPECT_EQ(engine_->migrations_completed(), 1);
+  EXPECT_EQ(engine_->placement().HomeOf(0), 1);
+  EXPECT_EQ(engine_->CompletedQueries(), kQueries);
+  EXPECT_TRUE(queue.EmptyApprox());
+  EXPECT_LE(queue.MemoryBytes(), segment);
+  EXPECT_LT(old_home.MemoryBytes(), backlog_bytes);
 }
 
 TEST_F(ClusterEngineTest, RejectsMigrationToSelfOrOffNodes) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <latch>
 #include <memory>
 #include <thread>
@@ -26,9 +28,11 @@ Message MakeMsg(PartitionId p, int64_t tag = 0) {
   return m;
 }
 
-/// One ring cell of an int64 ring: the sequence number plus the value.
-constexpr size_t kInt64CellBytes =
-    sizeof(std::atomic<size_t>) + sizeof(int64_t);
+/// One cell of an int64 ring: the value and its two state bytes, padded
+/// to the value's alignment.
+constexpr size_t kInt64CellBytes = 2 * sizeof(int64_t);
+/// A ring segment is its link to the next segment plus its cells.
+constexpr size_t kSegmentHeaderBytes = sizeof(void*);
 
 /// Minimal mutable placement for layer tests (the real implementation is
 /// engine::PlacementMap; the msg layer only sees this interface).
@@ -105,21 +109,126 @@ TEST(MpmcRingTest, MultiProducerMultiConsumerStress) {
 TEST(MpmcRingTest, AllocatesOnFirstPushOnly) {
   MpmcRing<int64_t> ring(5);
   EXPECT_EQ(ring.capacity(), 8u);
+  // A tiny ring's segment holds its whole capacity: the smallest
+  // 2^k - 1 cells that reach 8.
+  EXPECT_EQ(ring.segment_capacity(), 15u);
+  EXPECT_EQ(ring.segment_bytes(), kSegmentHeaderBytes + 15 * kInt64CellBytes);
   int64_t v;
   EXPECT_FALSE(ring.TryPop(&v));
   EXPECT_EQ(ring.SizeApprox(), 0u);
   EXPECT_TRUE(ring.EmptyApprox());
   EXPECT_EQ(ring.MemoryBytes(), 0u);  // reading a fresh ring allocates nothing
   ASSERT_TRUE(ring.TryPush(1));
-  EXPECT_EQ(ring.MemoryBytes(), 8 * kInt64CellBytes);
+  EXPECT_EQ(ring.MemoryBytes(), ring.segment_bytes());  // one segment
   ASSERT_TRUE(ring.TryPop(&v));
   EXPECT_EQ(v, 1);
-  EXPECT_EQ(ring.MemoryBytes(), 8 * kInt64CellBytes);  // kept once allocated
+  EXPECT_EQ(ring.MemoryBytes(), ring.segment_bytes());  // the one it fills next
+}
+
+TEST(MpmcRingTest, MemoryFollowsDepth) {
+  MpmcRing<int64_t> ring(1 << 14);
+  const size_t seg = ring.segment_capacity();
+  const size_t seg_bytes = ring.segment_bytes();
+  // A page-sized segment: 255 cells of 16 B plus the link.
+  EXPECT_EQ(seg, 255u);
+  EXPECT_LE(seg_bytes, MpmcRing<int64_t>::kSegmentBytes);
+  for (int64_t i = 0; i < 1000; ++i) ASSERT_TRUE(ring.TryPush(i));
+  EXPECT_LE(ring.MemoryBytes(), ((1000 + seg - 1) / seg + 1) * seg_bytes);
+  int64_t v;
+  for (int64_t i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(ring.TryPop(&v));
+    ASSERT_EQ(v, i);
+  }
+  EXPECT_LE(ring.MemoryBytes(), seg_bytes);
+  // 64 queued values span at most two segments of 255 cells, whatever
+  // offset a lap starts at, and every left segment is freed.
+  size_t peak = 0;
+  for (int lap = 0; lap < 1000; ++lap) {
+    for (int64_t i = 0; i < 64; ++i) ASSERT_TRUE(ring.TryPush(i));
+    peak = std::max(peak, ring.MemoryBytes());
+    for (int64_t i = 0; i < 64; ++i) {
+      ASSERT_TRUE(ring.TryPop(&v));
+      ASSERT_EQ(v, i);
+    }
+    peak = std::max(peak, ring.MemoryBytes());
+  }
+  EXPECT_LE(peak, 2 * seg_bytes);
+  EXPECT_LE(ring.MemoryBytes(), seg_bytes);
+}
+
+TEST(MpmcRingTest, CapacityHoldsAcrossSegments) {
+  MpmcRing<int64_t> ring(100);
+  ASSERT_EQ(ring.capacity(), 128u);
+  for (int64_t i = 0; i < 128; ++i) ASSERT_TRUE(ring.TryPush(i));
+  EXPECT_FALSE(ring.TryPush(128));
+  EXPECT_EQ(ring.SizeApprox(), 128u);
+  // Keep the ring full for ten laps of its capacity: one pop frees room
+  // for exactly one push, and values leave in the order they came, also
+  // where they cross from one segment into the next.
+  int64_t next_out = 0;
+  int64_t next_in = 128;
+  for (int lap = 0; lap < 10; ++lap) {
+    for (int i = 0; i < 128; ++i) {
+      int64_t v;
+      ASSERT_TRUE(ring.TryPop(&v));
+      ASSERT_EQ(v, next_out++);
+      ASSERT_TRUE(ring.TryPush(next_in++));
+      ASSERT_FALSE(ring.TryPush(-1));
+    }
+  }
+  EXPECT_GT(static_cast<size_t>(next_in), 4 * ring.segment_capacity());
+  EXPECT_EQ(ring.SizeApprox(), 128u);
+  int64_t v;
+  while (ring.TryPop(&v)) ASSERT_EQ(v, next_out++);
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(MpmcRingTest, SegmentBoundaryStress) {
+  // A capacity-64 ring of messages has the production geometry of 63
+  // cells per segment, so 200,000 values cross ~3,000 segment boundaries
+  // while the producers keep running into the full bound.
+  MpmcRing<Message> ring(64);
+  ASSERT_EQ(ring.segment_capacity(), 63u);
+  constexpr int kProducers = 4;
+  constexpr int kConsumers = 4;
+  constexpr int64_t kPerProducer = 50000;
+  constexpr int64_t kTotal = kProducers * kPerProducer;
+  std::vector<std::atomic<int>> seen(kTotal);
+  std::atomic<int64_t> popped{0};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      for (int64_t i = 0; i < kPerProducer; ++i) {
+        const Message m = MakeMsg(0, p * kPerProducer + i);
+        while (!ring.TryPush(m)) {
+        }
+      }
+    });
+  }
+  for (int c = 0; c < kConsumers; ++c) {
+    threads.emplace_back([&] {
+      Message m;
+      while (popped.load() < kTotal) {
+        if (ring.TryPop(&m)) {
+          seen[static_cast<size_t>(m.query_id)].fetch_add(1);
+          popped.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(popped.load(), kTotal);
+  for (int64_t v = 0; v < kTotal; ++v) {
+    ASSERT_EQ(seen[static_cast<size_t>(v)].load(), 1) << "value " << v;
+  }
+  EXPECT_TRUE(ring.EmptyApprox());
+  EXPECT_EQ(ring.MemoryBytes(), ring.segment_bytes());
 }
 
 TEST(MpmcRingTest, ConcurrentFirstPush) {
-  // Every producer's first push races to allocate the cells; consumers
-  // pop from the start, so they also see the ring before it exists.
+  // Every producer's first push races to install the first segment;
+  // consumers pop from the start, so they also see the ring before it
+  // exists.
   MpmcRing<int64_t> ring(64);
   constexpr int kProducers = 8;
   constexpr int kConsumers = 2;
@@ -154,7 +263,71 @@ TEST(MpmcRingTest, ConcurrentFirstPush) {
   for (int64_t v = 0; v < kTotal; ++v) {
     ASSERT_EQ(seen[static_cast<size_t>(v)].load(), 1) << "value " << v;
   }
-  EXPECT_EQ(ring.MemoryBytes(), ring.capacity() * kInt64CellBytes);
+  // Exactly one segment is left: every segment the values passed through
+  // was freed, and the drained ring keeps only the one it fills next.
+  EXPECT_EQ(ring.MemoryBytes(), ring.segment_bytes());
+}
+
+TEST(MpmcRingTest, FirstPushRaceOnFreshTinyRings) {
+  // Each round races more producers than this host has cores on a fresh
+  // capacity-2 ring, whose 3-cell segments are passed and freed within a
+  // few pushes. A push that lost the first-segment install and then
+  // paired a later lap's index with the first segment would write into a
+  // freed segment and leave a consumer waiting on a cell never written.
+  constexpr int kProducers = 6;
+  constexpr int kConsumers = 2;
+  constexpr int64_t kPerProducer = 6;
+  constexpr int64_t kPerRound = kProducers * kPerProducer;
+  constexpr int kRounds = 1000;
+  std::unique_ptr<MpmcRing<int64_t>> ring;
+  std::vector<std::atomic<int>> seen(kPerRound);
+  std::atomic<int64_t> popped{0};
+  std::barrier round_start(kProducers + kConsumers + 1);
+  std::barrier round_end(kProducers + kConsumers + 1);
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      for (int r = 0; r < kRounds; ++r) {
+        round_start.arrive_and_wait();
+        for (int64_t i = 0; i < kPerProducer; ++i) {
+          while (!ring->TryPush(p * kPerProducer + i)) {
+          }
+        }
+        round_end.arrive_and_wait();
+      }
+    });
+  }
+  for (int c = 0; c < kConsumers; ++c) {
+    threads.emplace_back([&] {
+      for (int r = 0; r < kRounds; ++r) {
+        round_start.arrive_and_wait();
+        int64_t v;
+        while (popped.load() < kPerRound) {
+          if (ring->TryPop(&v)) {
+            seen[static_cast<size_t>(v)].fetch_add(1);
+            popped.fetch_add(1);
+          }
+        }
+        round_end.arrive_and_wait();
+      }
+    });
+  }
+  // Every thread runs every round, so a bad round is counted rather than
+  // asserted on (an early return would leave the others at the barrier).
+  int bad_rounds = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    ring = std::make_unique<MpmcRing<int64_t>>(2);
+    popped.store(0);
+    for (auto& s : seen) s.store(0);
+    round_start.arrive_and_wait();
+    round_end.arrive_and_wait();
+    bool bad = ring->MemoryBytes() != ring->segment_bytes();
+    for (const auto& s : seen) bad = bad || s.load() != 1;
+    bad_rounds += bad ? 1 : 0;
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(ring->segment_capacity(), 3u);
+  EXPECT_EQ(bad_rounds, 0);
 }
 
 TEST(PartitionQueueTest, OwnershipProtocol) {
@@ -439,13 +612,17 @@ TEST(MessageLayerTest, RingsAllocateOnFirstMessage) {
   EXPECT_EQ(layer.DrainAllQueues(), 0u);
   EXPECT_EQ(layer.MemoryBytes(), 0u);  // draining empty rings allocates none
   ASSERT_TRUE(layer.Send(0, MakeMsg(1)));
-  const size_t one_ring = layer.partition_queue(1)->MemoryBytes();
-  EXPECT_GT(one_ring, 0u);
-  EXPECT_EQ(layer.MemoryBytes(), one_ring);
+  // One segment of the default 16,384-message ring: 63 cells of 64 B (a
+  // message and its two state bytes) plus the link, just under a page.
+  const size_t one_segment = kSegmentHeaderBytes + 63 * 64;
+  EXPECT_EQ(layer.partition_queue(1)->MemoryBytes(), one_segment);
+  EXPECT_EQ(layer.MemoryBytes(), one_segment);
   ASSERT_TRUE(layer.Send(0, MakeMsg(3)));  // remote: only the outbox
   EXPECT_EQ(layer.partition_queue(3)->MemoryBytes(), 0u);
-  EXPECT_EQ(layer.comm(0)->MemoryBytes(), one_ring);  // same capacity
-  EXPECT_EQ(layer.MemoryBytes(), 2 * one_ring);
+  EXPECT_EQ(layer.comm(0)->MemoryBytes(), one_segment);  // same geometry
+  EXPECT_EQ(layer.MemoryBytes(), 2 * one_segment);
+  EXPECT_EQ(layer.DrainAllQueues(), 2u);
+  EXPECT_EQ(layer.MemoryBytes(), 2 * one_segment);  // drained: one apiece
 }
 
 TEST(MessageLayerTest, DrainDiscardsHeldOutboundMessage) {
