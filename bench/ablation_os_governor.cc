@@ -11,10 +11,7 @@
 #include <memory>
 
 #include "bench_common.h"
-#include "ecl/baseline.h"
-#include "ecl/ecl.h"
-#include "ecl/os_governor.h"
-#include "engine/engine.h"
+#include "experiment/node_rig.h"
 #include "workload/driver.h"
 #include "workload/kv.h"
 #include "workload/load_profile.h"
@@ -24,7 +21,7 @@ using namespace ecldb;
 
 namespace {
 
-enum class Mode { kBaseline, kGovernorPolling, kGovernorBlocking, kEcl };
+using experiment::ControlMode;
 
 struct Outcome {
   double avg_power_w = 0.0;
@@ -32,45 +29,30 @@ struct Outcome {
   double mean_freq_ghz = 0.0;
 };
 
-Outcome Run(Mode mode, double load) {
-  sim::Simulator sim;
-  hwsim::Machine machine(&sim, hwsim::MachineParams::HaswellEp());
-  engine::Engine engine(&sim, &machine, engine::EngineParams{});
-  workload::KvParams kvp;
-  kvp.indexed = false;
-  workload::KvWorkload kv(&engine, kvp);
-  const double cap = workload::BaselineCapacityQps(machine.params(), kv);
-
-  ecl::BaselineController baseline(&machine);
-  std::unique_ptr<ecl::OsGovernor> governor;
-  std::unique_ptr<ecl::EnergyControlLoop> loop;
-  switch (mode) {
-    case Mode::kBaseline:
-      baseline.Start();
-      break;
-    case Mode::kGovernorPolling:
-    case Mode::kGovernorBlocking: {
-      ecl::OsGovernorParams gp;
-      gp.sees_polling_as_busy = (mode == Mode::kGovernorPolling);
-      governor = std::make_unique<ecl::OsGovernor>(&sim, &engine, gp);
-      governor->Start();
-      break;
-    }
-    case Mode::kEcl:
-      loop = std::make_unique<ecl::EnergyControlLoop>(&sim, &engine,
-                                                      ecl::EclParams{});
-      loop->Start();
-      engine.scheduler().SetSyntheticLoad(&kv.profile());
-      sim.RunFor(Seconds(30));
-      engine.scheduler().SetSyntheticLoad(nullptr);
-      break;
-  }
-  engine.latency().ResetRunStats();
+/// `sees_polling_as_busy` picks the governor's DBMS: polling (true) or a
+/// hypothetical blocking one (false).
+Outcome Run(ControlMode mode, double load, bool sees_polling_as_busy = true) {
+  experiment::RunOptions options;
+  options.mode = mode;
+  options.os_governor.sees_polling_as_busy = sees_polling_as_busy;
+  // Only the ECL arm is primed.
+  if (mode != ControlMode::kEcl) options.prime_duration = 0;
+  experiment::NodeRig rig(
+      [](engine::Engine* engine) {
+        workload::KvParams kvp;
+        kvp.indexed = false;
+        return std::make_unique<workload::KvWorkload>(engine, kvp);
+      },
+      options);
+  sim::Simulator& sim = rig.simulator();
+  hwsim::Machine& machine = rig.machine();
+  engine::Engine& engine = rig.engine();
+  rig.Prime();
 
   workload::ConstantProfile profile(load, Seconds(30));
   workload::DriverParams dp;
-  dp.capacity_qps = cap;
-  workload::LoadDriver driver(&sim, &engine, &kv, &profile, dp);
+  dp.capacity_qps = rig.capacity();
+  workload::LoadDriver driver(&sim, &engine, &rig.workload(), &profile, dp);
   const double e0 = machine.TotalEnergyJoules();
   driver.Start();
   double freq_sum = 0.0;
@@ -102,17 +84,17 @@ int main() {
 
   TablePrinter table({"controller", "avg power W", "p99 ms",
                       "mean core GHz", "saving vs baseline %"});
-  const Outcome base = Run(Mode::kBaseline, 0.25);
+  const Outcome base = Run(ControlMode::kBaseline, 0.25);
   auto row = [&](const char* name, const Outcome& o) {
     table.AddRow({name, Fmt(o.avg_power_w, 1), Fmt(o.p99_ms, 1),
                   Fmt(o.mean_freq_ghz, 2),
                   Fmt(100.0 * (1.0 - o.avg_power_w / base.avg_power_w), 1)});
   };
   row("baseline (race-to-idle)", base);
-  row("OS governor (polling DBMS)", Run(Mode::kGovernorPolling, 0.25));
+  row("OS governor (polling DBMS)", Run(ControlMode::kOsGovernor, 0.25));
   row("OS governor (hypothetical blocking DBMS)",
-      Run(Mode::kGovernorBlocking, 0.25));
-  row("ECL (DBMS-integrated)", Run(Mode::kEcl, 0.25));
+      Run(ControlMode::kOsGovernor, 0.25, /*sees_polling_as_busy=*/false));
+  row("ECL (DBMS-integrated)", Run(ControlMode::kEcl, 0.25));
   table.Print();
 
   std::printf(

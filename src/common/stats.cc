@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.h"
-
 namespace ecldb {
 
 void StreamingStats::Add(double x) {
@@ -109,28 +107,6 @@ double SlidingWindow::SlopePerSecond() const {
   const double denom = dn * stt - st * st;
   if (denom <= 1e-12) return 0.0;
   return (dn * stv - st * sv) / denom;
-}
-
-double SlidingWindow::Latest() const {
-  return samples_.empty() ? 0.0 : samples_.back().value;
-}
-
-Histogram::Histogram(double lo, double hi, int buckets)
-    : lo_(lo), width_((hi - lo) / buckets), counts_(static_cast<size_t>(buckets), 0) {
-  ECLDB_CHECK(buckets > 0);
-  ECLDB_CHECK(hi > lo);
-}
-
-void Histogram::Add(double x) {
-  int i = static_cast<int>((x - lo_) / width_);
-  i = std::clamp(i, 0, static_cast<int>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(i)];
-  ++total_;
-}
-
-void Histogram::Clear() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
 }
 
 }  // namespace ecldb

@@ -68,7 +68,6 @@ class SlidingWindow {
   double Mean() const;
   /// Least-squares slope in value-units per second; 0 with <2 samples.
   double SlopePerSecond() const;
-  double Latest() const;
 
  private:
   struct Sample {
@@ -78,27 +77,6 @@ class SlidingWindow {
 
   SimDuration horizon_;
   std::deque<Sample> samples_;
-};
-
-/// Fixed-bucket histogram over [lo, hi); out-of-range values clamp to the
-/// first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int buckets);
-
-  void Add(double x);
-  void Clear();
-
-  int buckets() const { return static_cast<int>(counts_.size()); }
-  int64_t bucket_count(int i) const { return counts_[static_cast<size_t>(i)]; }
-  double bucket_lo(int i) const { return lo_ + width_ * i; }
-  int64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
 };
 
 }  // namespace ecldb

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/check.h"
 
@@ -21,24 +20,36 @@ ClusterEcl::ClusterEcl(sim::Simulator* simulator,
                        PressureFn pressure, const ClusterEclParams& params)
     : simulator_(simulator),
       engine_(engine),
-      load_(std::move(load)),
       pressure_(std::move(pressure)),
-      params_(params) {
+      params_(params),
+      trace_lane_(params.telemetry != nullptr
+                      ? params.telemetry->trace().RegisterLane("cluster/ecl")
+                      : 0),
+      packer_(simulator, &engine->placement(),
+              {.eligible =
+                   [engine](NodeId n) { return engine->cluster().IsOn(n); },
+               .load = std::move(load),
+               .migrate =
+                   [engine](PartitionId p, NodeId to) {
+                     return engine->StartMigration(p, to);
+                   },
+               .completed_migrations =
+                   [engine] { return engine->migrations_completed(); }},
+              params, trace_lane_, "cluster") {
   ECLDB_CHECK(simulator != nullptr && engine != nullptr);
-  ECLDB_CHECK(load_ != nullptr && pressure_ != nullptr);
+  ECLDB_CHECK(pressure_ != nullptr);
   ECLDB_CHECK(params_.min_nodes_on >= 1);
   if (telemetry::Telemetry* tel = params_.telemetry; tel != nullptr) {
     telemetry::MetricRegistry& reg = tel->registry();
     reg.AddCounterFn("cluster/ecl/ticks", [this] { return ticks_; });
     reg.AddCounterFn("cluster/ecl/consolidation_moves",
-                     [this] { return consolidation_moves_; });
+                     [this] { return consolidation_moves(); });
     reg.AddCounterFn("cluster/ecl/spread_moves",
-                     [this] { return spread_moves_; });
+                     [this] { return spread_moves(); });
     reg.AddCounterFn("cluster/ecl/power_downs",
                      [this] { return power_downs_; });
     reg.AddCounterFn("cluster/ecl/wakes", [this] { return wakes_; });
     reg.AddGauge("cluster/ecl/pressure", [this] { return ClusterPressure(); });
-    trace_lane_ = tel->trace().RegisterLane("cluster/ecl");
   }
 }
 
@@ -64,11 +75,7 @@ double ClusterEcl::ClusterPressure() const {
 void ClusterEcl::Tick() {
   if (!running_) return;
   ++ticks_;
-  const int64_t done = engine_->migrations_completed();
-  if (done != last_completed_seen_) {
-    last_completed_seen_ = done;
-    last_migration_time_ = simulator_->now();
-  }
+  packer_.ObserveMigrations();
   const double pressure = ClusterPressure();
 
   // Wakes run before anything else, every tick: capacity arrives a boot
@@ -77,18 +84,13 @@ void ClusterEcl::Tick() {
   const bool woke = TryWake(pressure);
 
   if (!woke && engine_->active_migrations() == 0) {
-    const bool holding =
-        last_migration_time_ >= 0 &&
-        simulator_->now() - last_migration_time_ < params_.post_migration_hold;
-    const bool spread_gated =
-        holding && last_direction_ == Direction::kConsolidate;
-    const bool consolidate_gated =
-        holding && last_direction_ == Direction::kSpread;
-    if (!spread_gated && pressure >= params_.wake_pressure_min) {
-      Spread();
-    } else if (!consolidate_gated &&
+    using Direction = PlacementPacker::Direction;
+    if (!packer_.Holds(Direction::kSpread) &&
+        pressure >= params_.wake_pressure_min) {
+      packer_.Spread();
+    } else if (!packer_.Holds(Direction::kConsolidate) &&
                pressure <= params_.consolidate_pressure_max) {
-      Consolidate();
+      packer_.Consolidate();
     }
     // A drained node powers down whenever pressure sits below the spread
     // threshold — spread is the only thing that would repopulate it, so
@@ -143,106 +145,6 @@ bool ClusterEcl::TryWake(double pressure) {
     return true;
   }
   return false;
-}
-
-void ClusterEcl::Consolidate() {
-  hwsim::Cluster& cluster = engine_->cluster();
-  engine::PlacementMap& placement = engine_->placement();
-
-  // Donor: least-loaded ON node still homing partitions; receiver: the
-  // most-loaded other ON node. Ties resolve to the lower node id.
-  NodeId donor = -1, receiver = -1;
-  double donor_load = 0.0, receiver_load = 0.0;
-  int populated_on = 0;
-  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-    if (!cluster.IsOn(n) || placement.PartitionsOn(n) == 0) continue;
-    ++populated_on;
-    const double l = load_(n);
-    if (donor == -1 || l < donor_load) {
-      donor = n;
-      donor_load = l;
-    }
-  }
-  if (populated_on < 2) return;
-  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-    if (n == donor || !cluster.IsOn(n) || placement.PartitionsOn(n) == 0) {
-      continue;
-    }
-    const double l = load_(n);
-    if (receiver == -1 || l > receiver_load) {
-      receiver = n;
-      receiver_load = l;
-    }
-  }
-  if (donor_load > params_.donor_load_max) return;
-  if (receiver_load + donor_load > params_.target_load_ceiling) return;
-
-  const std::vector<PartitionId> parts = placement.PartitionsOf(donor);
-  const int moves = std::min<int>(params_.migrations_per_tick,
-                                  static_cast<int>(parts.size()));
-  int started = 0;
-  for (int i = 0; i < moves; ++i) {
-    if (engine_->StartMigration(parts[static_cast<size_t>(i)], receiver)) {
-      ++consolidation_moves_;
-      last_direction_ = Direction::kConsolidate;
-      ++started;
-    }
-  }
-  if (started > 0 && params_.telemetry != nullptr) {
-    params_.telemetry->trace().Instant(
-        trace_lane_, "cluster", "consolidate_batch", simulator_->now(),
-        "\"donor\":" + std::to_string(donor) +
-            ",\"receiver\":" + std::to_string(receiver) +
-            ",\"migrations\":" + std::to_string(started));
-  }
-}
-
-void ClusterEcl::Spread() {
-  hwsim::Cluster& cluster = engine_->cluster();
-  engine::PlacementMap& placement = engine_->placement();
-
-  // Push partitions from the fullest ON node onto the emptiest ON node
-  // (typically one just woken, holding nothing), preferring partitions
-  // whose initial home was the destination.
-  NodeId src = -1, dst = -1;
-  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-    if (!cluster.IsOn(n)) continue;
-    if (src == -1 || placement.PartitionsOn(n) > placement.PartitionsOn(src)) {
-      src = n;
-    }
-    if (dst == -1 || placement.PartitionsOn(n) < placement.PartitionsOn(dst)) {
-      dst = n;
-    }
-  }
-  if (src == -1 || dst == -1 || src == dst ||
-      placement.PartitionsOn(src) - placement.PartitionsOn(dst) < 2) {
-    return;
-  }
-
-  std::vector<PartitionId> candidates = placement.PartitionsOf(src);
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](PartitionId a, PartitionId b) {
-                     return (placement.InitialHomeOf(a) == dst) >
-                            (placement.InitialHomeOf(b) == dst);
-                   });
-  const int gap = placement.PartitionsOn(src) - placement.PartitionsOn(dst);
-  const int moves =
-      std::min<int>({params_.spread_migrations_per_tick, gap / 2,
-                     static_cast<int>(candidates.size())});
-  int started = 0;
-  for (int i = 0; i < moves; ++i) {
-    if (engine_->StartMigration(candidates[static_cast<size_t>(i)], dst)) {
-      ++spread_moves_;
-      last_direction_ = Direction::kSpread;
-      ++started;
-    }
-  }
-  if (started > 0 && params_.telemetry != nullptr) {
-    params_.telemetry->trace().Instant(
-        trace_lane_, "cluster", "spread_batch", simulator_->now(),
-        "\"src\":" + std::to_string(src) + ",\"dst\":" + std::to_string(dst) +
-            ",\"migrations\":" + std::to_string(started));
-  }
 }
 
 void ClusterEcl::MaybePowerDown() {

@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "common/types.h"
+#include "ecl/placement_packer.h"
 #include "engine/cluster_engine.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
@@ -94,8 +95,8 @@ class ClusterEcl {
   void Stop() { running_ = false; }
 
   int64_t ticks() const { return ticks_; }
-  int64_t consolidation_moves() const { return consolidation_moves_; }
-  int64_t spread_moves() const { return spread_moves_; }
+  int64_t consolidation_moves() const { return packer_.consolidation_moves(); }
+  int64_t spread_moves() const { return packer_.spread_moves(); }
   int64_t power_downs() const { return power_downs_; }
   int64_t wakes() const { return wakes_; }
 
@@ -104,29 +105,21 @@ class ClusterEcl {
   /// Max pressure over ON nodes (off/booting nodes serve nothing).
   double ClusterPressure() const;
   bool TryWake(double pressure);
-  void Consolidate();
-  void Spread();
   void MaybePowerDown();
 
   sim::Simulator* simulator_;
   engine::ClusterEngine* engine_;
-  LoadFn load_;
   PressureFn pressure_;
   ClusterEclParams params_;
+  int trace_lane_;  // "cluster/ecl" lane when telemetry is attached
+  PlacementPacker packer_;
   NodeHook on_power_down_;
   NodeHook on_booted_;
 
   bool running_ = false;
   int64_t ticks_ = 0;
-  int64_t consolidation_moves_ = 0;
-  int64_t spread_moves_ = 0;
   int64_t power_downs_ = 0;
   int64_t wakes_ = 0;
-  int trace_lane_ = 0;  // "cluster/ecl" lane when telemetry is attached
-  enum class Direction { kNone, kConsolidate, kSpread };
-  int64_t last_completed_seen_ = 0;
-  SimTime last_migration_time_ = -1;
-  Direction last_direction_ = Direction::kNone;
 };
 
 }  // namespace ecldb::ecl

@@ -1,8 +1,6 @@
 #include "ecl/consolidation.h"
 
-#include <algorithm>
-#include <string>
-#include <vector>
+#include <utility>
 
 #include "common/check.h"
 
@@ -15,18 +13,29 @@ ConsolidationPolicy::ConsolidationPolicy(sim::Simulator* simulator,
     : simulator_(simulator),
       engine_(engine),
       system_(system),
-      load_(std::move(load)),
-      params_(params) {
+      params_(params),
+      packer_(simulator, &engine->placement(),
+              {.eligible = [](SocketId) { return true; },
+               .load = std::move(load),
+               .migrate =
+                   [engine](PartitionId p, SocketId to) {
+                     return engine->migrator().StartMigration(p, to);
+                   },
+               .completed_migrations =
+                   [engine] { return engine->migrator().completed(); }},
+              params,
+              params.telemetry != nullptr
+                  ? params.telemetry->trace().RegisterLane("ecl/consolidation")
+                  : 0,
+              "ecl") {
   ECLDB_CHECK(simulator != nullptr && engine != nullptr && system != nullptr);
-  ECLDB_CHECK(load_ != nullptr);
   if (telemetry::Telemetry* tel = params_.telemetry; tel != nullptr) {
     telemetry::MetricRegistry& reg = tel->registry();
     reg.AddCounterFn("ecl/consolidation/ticks", [this] { return ticks_; });
     reg.AddCounterFn("ecl/consolidation/consolidation_moves",
-                     [this] { return consolidation_moves_; });
+                     [this] { return consolidation_moves(); });
     reg.AddCounterFn("ecl/consolidation/spread_moves",
-                     [this] { return spread_moves_; });
-    trace_lane_ = tel->trace().RegisterLane("ecl/consolidation");
+                     [this] { return spread_moves(); });
   }
 }
 
@@ -42,135 +51,22 @@ void ConsolidationPolicy::Tick() {
   ++ticks_;
   // One batch of migrations at a time: placement decisions are made on
   // post-migration load observations, not on projections of projections.
-  const int64_t done = engine_->migrator().completed();
-  if (done != last_completed_seen_) {
-    last_completed_seen_ = done;
-    last_migration_time_ = simulator_->now();
-  }
+  packer_.ObserveMigrations();
   if (engine_->migrator().active() == 0) {
     const double pressure = system_->pressure();
-    // Post-migration dwell: a placement change perturbs latency until the
-    // receiving ECL re-sizes, so reversing direction on that transient
-    // flaps. The dwell gates reversals only — continuing in the same
-    // direction (the next batch of a staged consolidation or spread) is
-    // always allowed, and hard pressure (the limit is genuinely
-    // threatened) spreads regardless of dwell.
-    const bool holding =
-        last_migration_time_ >= 0 &&
-        simulator_->now() - last_migration_time_ < params_.post_migration_hold;
-    const bool spread_gated =
-        holding && last_direction_ == Direction::kConsolidate;
-    const bool consolidate_gated =
-        holding && last_direction_ == Direction::kSpread;
+    // The post-migration dwell holds reversals only; hard pressure (the
+    // limit is genuinely threatened) spreads regardless of it.
+    using Direction = PlacementPacker::Direction;
     if (pressure >= params_.spread_pressure_hard ||
-        (!spread_gated && pressure >= params_.spread_pressure_min)) {
-      Spread();
-    } else if (!consolidate_gated &&
+        (!packer_.Holds(Direction::kSpread) &&
+         pressure >= params_.spread_pressure_min)) {
+      packer_.Spread();
+    } else if (!packer_.Holds(Direction::kConsolidate) &&
                pressure <= params_.consolidate_pressure_max) {
-      Consolidate();
+      packer_.Consolidate();
     }
   }
   simulator_->ScheduleAfter(params_.interval, [this] { Tick(); });
-}
-
-void ConsolidationPolicy::Consolidate() {
-  engine::PlacementMap& placement = engine_->placement();
-  const int num_sockets = placement.num_sockets();
-
-  // Donor: the least-loaded socket still homing partitions; receiver: the
-  // most-loaded other socket (packing into the busiest empties the donor
-  // with the fewest moves). Ties resolve to the lower socket id — all
-  // loads are deterministic simulation outputs.
-  SocketId donor = -1, receiver = -1;
-  double donor_load = 0.0, receiver_load = 0.0;
-  int populated = 0;
-  for (SocketId s = 0; s < num_sockets; ++s) {
-    if (placement.PartitionsOn(s) == 0) continue;
-    ++populated;
-    const double load = load_(s);
-    if (donor == -1 || load < donor_load) {
-      donor = s;
-      donor_load = load;
-    }
-  }
-  if (populated < 2) return;
-  for (SocketId s = 0; s < num_sockets; ++s) {
-    if (s == donor || placement.PartitionsOn(s) == 0) continue;
-    const double load = load_(s);
-    if (receiver == -1 || load > receiver_load) {
-      receiver = s;
-      receiver_load = load;
-    }
-  }
-  if (donor_load > params_.donor_load_max) return;
-  if (receiver_load + donor_load > params_.target_load_ceiling) return;
-
-  const std::vector<PartitionId> parts = placement.PartitionsOf(donor);
-  const int moves =
-      std::min<int>(params_.migrations_per_tick, static_cast<int>(parts.size()));
-  int started = 0;
-  for (int i = 0; i < moves; ++i) {
-    if (engine_->migrator().StartMigration(parts[static_cast<size_t>(i)],
-                                           receiver)) {
-      ++consolidation_moves_;
-      last_direction_ = Direction::kConsolidate;
-      ++started;
-    }
-  }
-  if (started > 0 && params_.telemetry != nullptr) {
-    params_.telemetry->trace().Instant(
-        trace_lane_, "ecl", "consolidate_batch", simulator_->now(),
-        "\"donor\":" + std::to_string(donor) +
-            ",\"receiver\":" + std::to_string(receiver) +
-            ",\"migrations\":" + std::to_string(started));
-  }
-}
-
-void ConsolidationPolicy::Spread() {
-  engine::PlacementMap& placement = engine_->placement();
-  const int num_sockets = placement.num_sockets();
-
-  // Restore capacity: push partitions from the fullest socket onto the
-  // emptiest one, preferring partitions whose initial home was the
-  // destination (converging back to the constructed placement).
-  SocketId src = -1, dst = -1;
-  for (SocketId s = 0; s < num_sockets; ++s) {
-    if (src == -1 || placement.PartitionsOn(s) > placement.PartitionsOn(src)) {
-      src = s;
-    }
-    if (dst == -1 || placement.PartitionsOn(s) < placement.PartitionsOn(dst)) {
-      dst = s;
-    }
-  }
-  if (src == dst || placement.PartitionsOn(src) - placement.PartitionsOn(dst) < 2) {
-    return;
-  }
-
-  std::vector<PartitionId> candidates = placement.PartitionsOf(src);
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](PartitionId a, PartitionId b) {
-                     return (placement.InitialHomeOf(a) == dst) >
-                            (placement.InitialHomeOf(b) == dst);
-                   });
-  const int gap = placement.PartitionsOn(src) - placement.PartitionsOn(dst);
-  const int moves = std::min<int>(
-      {params_.spread_migrations_per_tick, gap / 2,
-       static_cast<int>(candidates.size())});
-  int started = 0;
-  for (int i = 0; i < moves; ++i) {
-    if (engine_->migrator().StartMigration(candidates[static_cast<size_t>(i)],
-                                           dst)) {
-      ++spread_moves_;
-      last_direction_ = Direction::kSpread;
-      ++started;
-    }
-  }
-  if (started > 0 && params_.telemetry != nullptr) {
-    params_.telemetry->trace().Instant(
-        trace_lane_, "ecl", "spread_batch", simulator_->now(),
-        "\"src\":" + std::to_string(src) + ",\"dst\":" + std::to_string(dst) +
-            ",\"migrations\":" + std::to_string(started));
-  }
 }
 
 }  // namespace ecldb::ecl

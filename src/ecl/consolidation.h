@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "common/types.h"
+#include "ecl/placement_packer.h"
 #include "ecl/system_ecl.h"
 #include "engine/engine.h"
 #include "sim/simulator.h"
@@ -84,33 +85,21 @@ class ConsolidationPolicy {
   void Start();
   void Stop() { running_ = false; }
 
-  int64_t consolidation_moves() const { return consolidation_moves_; }
-  int64_t spread_moves() const { return spread_moves_; }
+  int64_t consolidation_moves() const { return packer_.consolidation_moves(); }
+  int64_t spread_moves() const { return packer_.spread_moves(); }
   int64_t ticks() const { return ticks_; }
 
  private:
   void Tick();
-  void Consolidate();
-  void Spread();
 
   sim::Simulator* simulator_;
   engine::Engine* engine_;
   SystemEcl* system_;
-  LoadFn load_;
   ConsolidationParams params_;
+  PlacementPacker packer_;
 
   bool running_ = false;
   int64_t ticks_ = 0;
-  int64_t consolidation_moves_ = 0;
-  int64_t spread_moves_ = 0;
-  int trace_lane_ = 0;  // "ecl/consolidation" lane when telemetry is attached
-  /// Dwell-timer state: completed-migration count last observed, when it
-  /// last changed, and which direction the last placement change moved in
-  /// (the dwell only gates reversals).
-  enum class Direction { kNone, kConsolidate, kSpread };
-  int64_t last_completed_seen_ = 0;
-  SimTime last_migration_time_ = -1;
-  Direction last_direction_ = Direction::kNone;
 };
 
 }  // namespace ecldb::ecl

@@ -25,7 +25,6 @@ void ProfilePredictor::Observe(int config_index,
     return;
   }
   if (features.v[2] < params_.min_utilization) return;
-  ++observed_total_;
   std::vector<Observation>& bucket = cache_[static_cast<size_t>(config_index)];
 
   // Merge: a near-duplicate feature point carries the *newest* truth for

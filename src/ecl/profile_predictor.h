@@ -81,8 +81,6 @@ class ProfilePredictor {
   const ProfilePredictorParams& params() const { return params_; }
   /// Total observations currently cached.
   int64_t size() const { return size_; }
-  /// Observations ever fed (diagnostics; merges and evictions included).
-  int64_t observed_total() const { return observed_total_; }
   /// Observations of one configuration, oldest-insertion first.
   const std::vector<Observation>& entries(int config_index) const;
 
@@ -93,7 +91,6 @@ class ProfilePredictor {
   int num_configs_;
   std::vector<std::vector<Observation>> cache_;  // [config_index]
   int64_t size_ = 0;
-  int64_t observed_total_ = 0;
 };
 
 /// Serializes the learn-cache so experiments (and a DBMS restart) can

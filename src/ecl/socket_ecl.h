@@ -74,8 +74,6 @@ class SocketEcl {
   ProfileMaintenance& maintenance() { return maintenance_; }
   /// Non-null iff the learned predictor was enabled in the params.
   ProfilePredictor* predictor() { return predictor_.get(); }
-  /// Work-profile feature snapshot of the last loaded interval.
-  const profile::FeatureVector& last_features() const { return last_features_; }
 
   double performance_level() const { return perf_level_; }
   /// performance_level() relative to the profile's peak score (0 while
@@ -85,7 +83,6 @@ class SocketEcl {
     return peak > 0.0 ? perf_level_ / peak : 0.0;
   }
   int current_config_index() const { return current_index_; }
-  const RtiController::Plan& last_plan() const { return last_plan_; }
   double last_utilization() const { return last_utilization_; }
   /// Measured performance level (instr/s) of the last finished interval,
   /// after the optional poll-instruction exclusion.

@@ -135,16 +135,10 @@ bool ClusterEngine::StartMigration(PartitionId p, NodeId to) {
   // FIFO queue, so everything already enqueued executes first and the
   // fluid copy work charges the source node's memory system.
   Engine& src = node_engine(from);
-  const double actual =
-      static_cast<double>(src.db().partition(p)->MemoryBytes());
-  const double bytes = std::max(actual, params_.migration.min_shard_bytes);
-  const double ops = std::max(1.0, bytes / params_.migration.bytes_per_op);
-  QuerySpec copy;
-  copy.profile = &ShardCopyProfile();
-  copy.work.push_back({p, ops, msg::MessageType::kWorkUnits, 0, 0});
-  copy.origin_socket = src.placement().HomeOf(p);
-  copy.internal = true;
-  const QueryId copy_query = src.Submit(copy);
+  const ShardCopy copy = MakeShardCopy(src.db(), p, src.placement().HomeOf(p),
+                                       params_.migration);
+  const double bytes = copy.bytes;
+  const QueryId copy_query = src.Submit(copy.query);
 
   simulator_->ScheduleAfter(params_.migration.min_copy_time,
                             [this, p, copy_query, bytes] {
@@ -238,18 +232,11 @@ void ClusterEngine::OnNodeCrash(NodeId n) {
     placement_->ForceRehome(p, to);
 
     Engine& dst = node_engine(to);
-    const double actual =
-        static_cast<double>(dst.db().partition(p)->MemoryBytes());
-    const double bytes = std::max(actual, params_.migration.min_shard_bytes);
-    const double ops = std::max(1.0, bytes / params_.migration.bytes_per_op);
-    QuerySpec copy;
-    copy.profile = &ShardCopyProfile();
-    copy.work.push_back({p, ops, msg::MessageType::kWorkUnits, 0, 0});
-    copy.origin_socket = dst.placement().HomeOf(p);
-    copy.internal = true;
-    dst.Submit(copy);
+    const ShardCopy copy = MakeShardCopy(
+        dst.db(), p, dst.placement().HomeOf(p), params_.migration);
+    dst.Submit(copy.query);
     ++crash_recoveries_;
-    recovery_bytes_ += bytes;
+    recovery_bytes_ += copy.bytes;
   }
 }
 

@@ -5,7 +5,10 @@
 #include "common/check.h"
 
 namespace ecldb::engine {
+namespace {
 
+/// Work profile of the shard copy: a streaming, bandwidth-bound memcpy
+/// through the hwsim memory model (read + remote write per cache line).
 const hwsim::WorkProfile& ShardCopyProfile() {
   static const hwsim::WorkProfile* profile = [] {
     auto* p = new hwsim::WorkProfile();
@@ -21,6 +24,21 @@ const hwsim::WorkProfile& ShardCopyProfile() {
     return p;
   }();
   return *profile;
+}
+
+}  // namespace
+
+ShardCopy MakeShardCopy(const Database& db, PartitionId p,
+                        SocketId origin_socket, const MigrationParams& params) {
+  ShardCopy copy;
+  copy.bytes = std::max(static_cast<double>(db.partition(p)->MemoryBytes()),
+                        params.min_shard_bytes);
+  const double ops = std::max(1.0, copy.bytes / params.bytes_per_op);
+  copy.query.profile = &ShardCopyProfile();
+  copy.query.work.push_back({p, ops, msg::MessageType::kWorkUnits, 0, 0});
+  copy.query.origin_socket = origin_socket;
+  copy.query.internal = true;
+  return copy;
 }
 
 MigrationCoordinator::MigrationCoordinator(
@@ -51,12 +69,6 @@ MigrationCoordinator::MigrationCoordinator(
   }
 }
 
-double MigrationCoordinator::CopyBytes(PartitionId p) const {
-  const double actual =
-      static_cast<double>(db_->partition(p)->MemoryBytes());
-  return std::max(actual, params_.min_shard_bytes);
-}
-
 bool MigrationCoordinator::StartMigration(PartitionId p, SocketId to) {
   ECLDB_CHECK(p >= 0 && p < placement_->num_partitions());
   ECLDB_CHECK(to >= 0 && to < placement_->num_sockets());
@@ -68,14 +80,9 @@ bool MigrationCoordinator::StartMigration(PartitionId p, SocketId to) {
   ++active_;
   ++started_;
 
-  const double bytes = CopyBytes(p);
-  const double ops = std::max(1.0, bytes / params_.bytes_per_op);
-  QuerySpec copy;
-  copy.profile = &ShardCopyProfile();
-  copy.work.push_back({p, ops, msg::MessageType::kWorkUnits, 0, 0});
-  copy.origin_socket = from;
-  copy.internal = true;
-  const QueryId copy_query = scheduler_->Submit(copy);
+  const ShardCopy copy = MakeShardCopy(*db_, p, from, params_);
+  const double bytes = copy.bytes;
+  const QueryId copy_query = scheduler_->Submit(copy.query);
 
   // First handover check after the analytic QPI-limited copy estimate;
   // completion is then polled, because the copy's true finish time also

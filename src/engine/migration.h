@@ -77,7 +77,6 @@ class MigrationCoordinator {
   int64_t messages_rehomed() const { return messages_rehomed_; }
 
  private:
-  double CopyBytes(PartitionId p) const;
   void CheckHandover(PartitionId p, QueryId copy_query, double bytes,
                      SimTime t_start);
   void Handover(PartitionId p, double bytes, SimTime t_start);
@@ -98,9 +97,20 @@ class MigrationCoordinator {
   int trace_lane_ = 0;  // "engine/migration" lane when telemetry is attached
 };
 
-/// Work profile of the shard copy: a streaming, bandwidth-bound memcpy
-/// through the hwsim memory model (read + remote write per cache line).
-const hwsim::WorkProfile& ShardCopyProfile();
+/// The internal query that copies one partition's shard, and the shard's
+/// modelled size. It rides the partition's FIFO queue, so everything
+/// queued ahead of it executes first, and it charges a streaming,
+/// bandwidth-bound copy (one fluid op per `bytes_per_op`, at least one) to
+/// the executing socket through the hwsim memory model.
+struct ShardCopy {
+  QuerySpec query;
+  /// The partition's in-memory bytes, floored at `min_shard_bytes`.
+  double bytes = 0.0;
+};
+
+/// Builds the shard copy of `p` from `db`, dispatched from `origin_socket`.
+ShardCopy MakeShardCopy(const Database& db, PartitionId p,
+                        SocketId origin_socket, const MigrationParams& params);
 
 }  // namespace ecldb::engine
 

@@ -45,15 +45,6 @@ enum class FailReason : int8_t {
   kForwardCap = 2,
 };
 
-inline const char* FailReasonName(FailReason r) {
-  switch (r) {
-    case FailReason::kNone: return "none";
-    case FailReason::kNodeCrash: return "node_crash";
-    case FailReason::kForwardCap: return "forward_cap";
-  }
-  return "?";
-}
-
 /// A query as submitted to the engine: a work profile plus per-partition
 /// work items. Queries spanning partitions on multiple sockets exercise
 /// the inter-socket communication path.

@@ -548,22 +548,20 @@ const hwsim::WorkProfile* Scheduler::PeekProfile(Worker* w) {
       return ProfileOfMessage(w->batch[0]);
     }
   }
-  msg::IntraSocketRouter* router = layer_->router(w->socket);
-  if (router->PendingApprox() > 0) {
-    // Some queue on the socket has work; report generic readiness using
-    // the first registered profile if we cannot see the message itself.
-    msg::PartitionQueue* q = router->AcquireNonEmpty(w->id, &w->rr_cursor);
-    if (q != nullptr) {
-      ReleaseOwnership(w, false);
-      w->owned = q;
-      w->batch.clear();
-      w->batch_pos = 0;
-      if (q->DequeueBatch(w->id, params_.batch_size, &w->batch) > 0) {
-        MaybeReleaseMorselBatch(w);
-        return ProfileOfMessage(w->batch[0]);
-      }
-      ReleaseOwnership(w, false);
+  // Any other queue on the socket with work? AcquireNonEmpty skips empty
+  // queues and leaves the cursor alone when it finds none.
+  msg::PartitionQueue* q =
+      layer_->router(w->socket)->AcquireNonEmpty(w->id, &w->rr_cursor);
+  if (q != nullptr) {
+    ReleaseOwnership(w, false);
+    w->owned = q;
+    w->batch.clear();
+    w->batch_pos = 0;
+    if (q->DequeueBatch(w->id, params_.batch_size, &w->batch) > 0) {
+      MaybeReleaseMorselBatch(w);
+      return ProfileOfMessage(w->batch[0]);
     }
+    ReleaseOwnership(w, false);
   }
   return nullptr;
 }

@@ -1,8 +1,5 @@
 #include "engine/simd.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace ecldb::engine::simd {
 
 #if defined(ECLDB_SIMD_AVX2)
@@ -23,14 +20,6 @@ std::atomic<int> g_override{-1};  // -1: detect; else a Level value
 
 Level DetectLevel() {
 #if defined(ECLDB_SIMD_AVX2)
-  // Respect an operator opt-out before CPU detection: ECLDB_SIMD=off or
-  // =scalar forces the fallback (byte-identity runs, A/B measurements).
-  if (const char* env = std::getenv("ECLDB_SIMD")) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-        std::strcmp(env, "scalar") == 0) {
-      return Level::kScalar;
-    }
-  }
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
 #endif
   return Level::kScalar;

@@ -13,8 +13,8 @@ namespace ecldb::engine::simd {
 /// their own translation unit (with -mavx2) when the `ECLDB_SIMD` CMake
 /// option is on and the target is x86-64. Which level actually runs is
 /// decided once at startup from CPU detection (`__builtin_cpu_supports`),
-/// overridable per process via the `ECLDB_SIMD` environment variable
-/// ("off"/"scalar" forces the fallback) or per test via SetLevelOverride.
+/// overridable per test via SetLevelOverride; a build without the AVX2
+/// kernels (`-DECLDB_SIMD=OFF`) always runs the scalar fallback.
 enum class Level { kScalar = 0, kAvx2 = 1 };
 
 /// Highest level compiled into this binary.

@@ -34,8 +34,6 @@ struct Worker {
   /// Utilization accounting since the last TakeUtilization.
   double busy_seconds = 0.0;
   double active_seconds = 0.0;
-
-  bool HasBatchWork() const { return batch_pos < batch.size() || remaining_ops > 0.0; }
 };
 
 }  // namespace ecldb::engine

@@ -47,14 +47,23 @@ NodeRig::NodeRig(const WorkloadFactory& factory, const RunOptions& options)
 
   capacity_ = workload::BaselineCapacityQps(options_.machine, *workload_);
 
-  if (options_.mode == ControlMode::kEcl) {
-    ecl::EclParams ecl_params = options_.ecl;
-    if (tel != nullptr) ecl_params.telemetry = tel;
-    loop_ = std::make_unique<ecl::EnergyControlLoop>(&simulator_,
-                                                     engine_.get(), ecl_params);
-    loop_->Start();
-  } else {
-    ecl::BaselineController(machine_.get()).Start();
+  switch (options_.mode) {
+    case ControlMode::kEcl: {
+      ecl::EclParams ecl_params = options_.ecl;
+      if (tel != nullptr) ecl_params.telemetry = tel;
+      loop_ = std::make_unique<ecl::EnergyControlLoop>(
+          &simulator_, engine_.get(), ecl_params);
+      loop_->Start();
+      break;
+    }
+    case ControlMode::kBaseline:
+      ecl::BaselineController(machine_.get()).Start();
+      break;
+    case ControlMode::kOsGovernor:
+      governor_ = std::make_unique<ecl::OsGovernor>(
+          &simulator_, engine_.get(), options_.os_governor);
+      governor_->Start();
+      break;
   }
 }
 

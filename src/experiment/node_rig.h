@@ -8,6 +8,7 @@
 
 #include "common/types.h"
 #include "ecl/ecl.h"
+#include "ecl/os_governor.h"
 #include "engine/engine.h"
 #include "hwsim/machine.h"
 #include "sim/simulator.h"
@@ -21,14 +22,17 @@ struct RunResult;
 
 /// Which controller rules the hardware during a run.
 enum class ControlMode {
-  kBaseline,  // all threads on, CPU/OS frequency control (race-to-idle)
-  kEcl,       // the hierarchical Energy-Control Loop
+  kBaseline,    // all threads on, CPU/OS frequency control (race-to-idle)
+  kEcl,         // the hierarchical Energy-Control Loop
+  kOsGovernor,  // an OS ondemand-style core-frequency governor
 };
 
 struct RunOptions {
   hwsim::MachineParams machine = hwsim::MachineParams::HaswellEp();
   ControlMode mode = ControlMode::kEcl;
   ecl::EclParams ecl;
+  /// The governor of kOsGovernor runs (polling or blocking DBMS).
+  ecl::OsGovernorParams os_governor;
   engine::EngineParams engine;
   /// ECL runs warm up under synthetic saturation for this long so energy
   /// profiles are primed before measurement begins (the paper's profiles
@@ -59,8 +63,8 @@ using WorkloadFactory =
     std::function<std::unique_ptr<workload::Workload>(engine::Engine*)>;
 
 /// The single-node test rig: one machine, its engine, the workload and
-/// the controller of the run's mode (the ECL stack, or the race-to-idle
-/// baseline) — everything a single-node experiment constructs before any
+/// the controller of the run's mode (the ECL stack, the race-to-idle
+/// baseline, or the OS governor) — everything a single-node experiment constructs before any
 /// load arrives. Run drives it like a ClusterRig (both offer the same
 /// calls); the hand-built benches drive it directly. Construction order is
 /// load-bearing (advancer and event registration order fix the
@@ -69,7 +73,7 @@ class NodeRig {
  public:
   NodeRig(const WorkloadFactory& factory, const RunOptions& options);
 
-  /// Warms the controller up under synthetic saturation (both modes, so
+  /// Warms the controller up under synthetic saturation (every mode, so
   /// run windows stay aligned) and resets the latency run stats.
   void Prime();
 
@@ -78,7 +82,7 @@ class NodeRig {
   engine::Engine& engine() { return *engine_; }
   workload::Workload& workload() { return *workload_; }
   double capacity() const { return capacity_; }
-  /// The ECL stack; null in baseline mode.
+  /// The ECL stack; null unless the mode is kEcl.
   ecl::EnergyControlLoop* loop() { return loop_.get(); }
   telemetry::Telemetry* telemetry() { return options_.telemetry; }
   const RunOptions& options() const { return options_; }
@@ -91,9 +95,9 @@ class NodeRig {
   void SetFailureCallback(engine::Scheduler::FailureCallback cb) {
     engine_->scheduler().SetFailureCallback(std::move(cb));
   }
-  /// The system ECL's latency pressure; 0 in baseline mode.
+  /// The system ECL's latency pressure; 0 without the ECL.
   double Pressure() const;
-  /// Feeds the admission shed fraction to the system ECL (baseline: no-op).
+  /// Feeds the admission shed fraction to the system ECL (no-op without it).
   void SetShedSignal(std::function<double()> signal);
   double EnergyJ() const { return machine_->TotalEnergyJoules(); }
   /// Active hardware threads over all sockets.
@@ -101,7 +105,7 @@ class NodeRig {
   double LatencyWindowMs() const { return engine_->latency().WindowMeanMs(); }
   /// Registers the rig's own `exp/*` gauges: perf_level_frac (mean over
   /// sockets, relative to peak) and utilization (mean over sockets, ECL
-  /// view) — both 0 in baseline mode — and per socket socket{S}/power_w
+  /// view) — both 0 without the ECL — and per socket socket{S}/power_w
   /// (package + DRAM) and socket{S}/partitions.
   void AddGauges(RunSampler& sampler);
   /// Queries completed plus queries failed since Prime.
@@ -122,6 +126,7 @@ class NodeRig {
   std::unique_ptr<workload::Workload> workload_;
   double capacity_ = 0.0;
   std::unique_ptr<ecl::EnergyControlLoop> loop_;
+  std::unique_ptr<ecl::OsGovernor> governor_;
 };
 
 }  // namespace ecldb::experiment

@@ -62,14 +62,6 @@ int Cluster::NodesOn() const {
   return on;
 }
 
-int Cluster::NodesAvailable() const {
-  int avail = 0;
-  for (const Node& node : nodes_) {
-    if (node.state == NodeState::kOn && !node.failed) ++avail;
-  }
-  return avail;
-}
-
 void Cluster::FoldPhase(NodeId n, SimTime now) {
   Node& node = nodes_[static_cast<size_t>(n)];
   const double phase_s = ToSeconds(now - node.since);

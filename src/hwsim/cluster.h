@@ -106,7 +106,6 @@ class Cluster {
   }
   /// On and not failed: the only nodes placement may target.
   bool IsAvailable(NodeId n) const { return IsOn(n) && !IsFailed(n); }
-  int NodesAvailable() const;
 
   /// Powers a node down (must be on). The machine is forced to the idle
   /// configuration; its RAPL accrual stops counting toward the node's

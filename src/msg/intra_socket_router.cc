@@ -51,8 +51,13 @@ bool IntraSocketRouter::Enqueue(const Message& m) {
 
 PartitionQueue* IntraSocketRouter::AcquireNonEmpty(int worker, size_t* cursor) {
   const size_t n = queues_.size();
+  if (n == 0) return nullptr;
+  // Visits (*cursor + 1 + step) % n for step = 0..n-1, with one division
+  // per call: idle workers run this scan every slice, usually over empty
+  // queues only, so a division per queue would dominate it.
+  size_t i = *cursor % n;
   for (size_t step = 0; step < n; ++step) {
-    const size_t i = (*cursor + 1 + step) % n;
+    if (++i == n) i = 0;
     PartitionQueue* q = queues_[i];
     if (q->EmptyApprox()) continue;
     if (q->TryAcquire(worker)) {

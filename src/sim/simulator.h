@@ -76,8 +76,6 @@ class Simulator {
   void RunUntil(SimTime t);
   void RunFor(SimDuration d) { RunUntil(now_ + d); }
 
-  bool HasPendingEvents() const { return !events_.empty(); }
-
  private:
   void AdvanceTo(SimTime t);
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/csv_writer.h"
-#include "common/table_printer.h"
 
 namespace ecldb::telemetry {
 
@@ -107,49 +106,6 @@ bool WriteSeriesCsv(const Series& series, const std::string& path,
     csv.AddNumericRow(row);
   }
   return true;
-}
-
-std::string SummaryString(const Telemetry& telemetry) {
-  const MetricRegistry& reg = telemetry.registry();
-  std::string out;
-
-  if (reg.num_counters() > 0 || reg.num_gauges() > 0) {
-    TablePrinter t({"metric", "kind", "value"});
-    for (int i = 0; i < reg.num_counters(); ++i) {
-      t.AddRow({reg.counter_name(i), "counter", FmtInt(reg.CounterValue(i))});
-    }
-    for (int i = 0; i < reg.num_gauges(); ++i) {
-      t.AddRow({reg.gauge_name(i), "gauge", Fmt(reg.GaugeValue(i), 4)});
-    }
-    out += t.ToString();
-  }
-
-  if (reg.num_histograms() > 0) {
-    TablePrinter t({"histogram", "count", "mean", "p50<=", "p99<=", "max"});
-    for (int i = 0; i < reg.num_histograms(); ++i) {
-      const Histogram* h = reg.histogram(i);
-      t.AddRow({h->name(), FmtInt(h->count()), Fmt(h->Mean(), 4),
-                Fmt(h->PercentileBound(50.0), 4),
-                Fmt(h->PercentileBound(99.0), 4), Fmt(h->max(), 4)});
-    }
-    if (!out.empty()) out += '\n';
-    out += t.ToString();
-  }
-
-  const TraceRecorder& trace = telemetry.trace();
-  if (trace.enabled()) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "trace: %lld events recorded, %lld dropped\n",
-                  static_cast<long long>(trace.size()),
-                  static_cast<long long>(trace.dropped()));
-    if (!out.empty()) out += '\n';
-    out += buf;
-  }
-  return out;
-}
-
-void PrintSummary(const Telemetry& telemetry) {
-  std::fputs(SummaryString(telemetry).c_str(), stdout);
 }
 
 }  // namespace ecldb::telemetry

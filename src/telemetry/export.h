@@ -32,13 +32,6 @@ bool WriteSeriesCsv(const Series& series, const std::string& path,
                     const std::vector<std::string>& columns = {},
                     const std::vector<std::string>& rename = {});
 
-/// Human-readable summary of every registered metric: counters and
-/// final gauge values as a table, histograms with count/mean/p50/p99/max.
-std::string SummaryString(const Telemetry& telemetry);
-
-/// Prints SummaryString to stdout.
-void PrintSummary(const Telemetry& telemetry);
-
 }  // namespace ecldb::telemetry
 
 #endif  // ECLDB_TELEMETRY_EXPORT_H_

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "ecl/consolidation.h"
 #include "ecl/meta_calibration.h"
+#include "ecl/placement_packer.h"
 #include "ecl/profile_maintenance.h"
 #include "ecl/rti_controller.h"
 #include "ecl/system_ecl.h"
@@ -8,6 +13,7 @@
 #include "hwsim/machine.h"
 #include "profile/config_generator.h"
 #include "sim/simulator.h"
+#include "telemetry/telemetry.h"
 #include "workload/work_profiles.h"
 
 namespace ecldb::ecl {
@@ -266,6 +272,218 @@ TEST(MetaCalibrationTest, FindsPaperLikeTimes) {
   const auto& sweep = result.measure_sweep;
   ASSERT_GE(sweep.size(), 3u);
   EXPECT_GT(sweep.back().deviation, sweep.front().deviation);
+}
+
+// ---------------------------------------------------------------------------
+// PlacementPacker: the consolidate/spread/dwell algorithm of both
+// consolidation tiers, on a bare PlacementMap with scripted loads.
+// ---------------------------------------------------------------------------
+
+/// A packer over `placement` with the in-box limits of `params`, whose
+/// loads and eligibility are set by hand. Every migration it starts
+/// commits at once and is recorded, as is every load it reads.
+struct PackerRig {
+  explicit PackerRig(engine::PlacementMap map,
+                     const ConsolidationParams& params = {}, int lane = 0)
+      : placement(std::move(map)),
+        loads(static_cast<size_t>(placement.num_sockets()), 0.0),
+        eligible(static_cast<size_t>(placement.num_sockets()), true),
+        packer(&sim, &placement,
+               {.eligible =
+                    [this](SocketId u) {
+                      return eligible[static_cast<size_t>(u)];
+                    },
+                .load =
+                    [this](SocketId u) {
+                      load_calls.push_back(u);
+                      return loads[static_cast<size_t>(u)];
+                    },
+                .migrate =
+                    [this](PartitionId p, SocketId to) {
+                      placement.BeginMigration(p, to);
+                      placement.CommitMigration(p);
+                      moves.emplace_back(p, to);
+                      return true;
+                    },
+                .completed_migrations =
+                    [this] { return static_cast<int64_t>(moves.size()); }},
+               params, lane, "test") {}
+  PackerRig(const PackerRig&) = delete;
+  PackerRig& operator=(const PackerRig&) = delete;
+
+  sim::Simulator sim;
+  engine::PlacementMap placement;
+  std::vector<double> loads;
+  std::vector<bool> eligible;
+  std::vector<SocketId> load_calls;
+  std::vector<std::pair<PartitionId, SocketId>> moves;
+  PlacementPacker packer;
+};
+
+using Moves = std::vector<std::pair<PartitionId, SocketId>>;
+
+TEST(PlacementPackerTest, ConsolidatesLeastLoadedIntoMostLoaded) {
+  // Units 0-2 hold two partitions each; unit 3 holds none.
+  PackerRig rig(engine::PlacementMap({0, 0, 1, 1, 2, 2}, 4));
+  rig.loads = {0.2, 0.1, 0.3, 0.0};
+  rig.packer.Consolidate();
+  // The empty unit 3 is neither donor nor receiver, despite its load of 0.
+  EXPECT_EQ(rig.moves, (Moves{{2, 2}, {3, 2}}));
+  EXPECT_EQ(rig.packer.consolidation_moves(), 2);
+  EXPECT_EQ(rig.packer.spread_moves(), 0);
+  // One pass over the populated units for the donor, one over the others
+  // for the receiver, in unit order.
+  EXPECT_EQ(rig.load_calls, (std::vector<SocketId>{0, 1, 2, 0, 2}));
+}
+
+TEST(PlacementPackerTest, LoadTiesGoToTheLowerUnit) {
+  PackerRig rig(engine::PlacementMap({0, 1, 2}, 3));
+  rig.loads = {0.1, 0.1, 0.1};
+  rig.packer.Consolidate();
+  EXPECT_EQ(rig.moves, (Moves{{0, 1}}));
+}
+
+TEST(PlacementPackerTest, ConsolidationShipsStagedBatches) {
+  PackerRig rig(engine::PlacementMap({0, 0, 0, 0, 0, 0, 1}, 2));
+  rig.loads = {0.1, 0.2};
+  rig.packer.Consolidate();
+  EXPECT_EQ(rig.moves, (Moves{{0, 1}, {1, 1}, {2, 1}, {3, 1}}));
+}
+
+TEST(PlacementPackerTest, EachGateBlocksConsolidation) {
+  {  // The least-loaded unit is above donor_load_max; at the bound it
+     // donates.
+    ConsolidationParams roomy;
+    roomy.target_load_ceiling = 1.0;
+    PackerRig rig(engine::PlacementMap({0, 1}, 2), roomy);
+    rig.loads = {0.46, 0.5};
+    rig.packer.Consolidate();
+    EXPECT_TRUE(rig.moves.empty());
+    rig.loads = {0.45, 0.5};
+    rig.packer.Consolidate();
+    EXPECT_EQ(rig.moves, (Moves{{0, 1}}));
+  }
+  {  // The receiver's projected load would exceed target_load_ceiling.
+    PackerRig rig(engine::PlacementMap({0, 1}, 2));
+    rig.loads = {0.2, 0.41};
+    rig.packer.Consolidate();
+    EXPECT_TRUE(rig.moves.empty());
+  }
+  {  // At target_load_ceiling exactly the receiver still takes the batch.
+    ConsolidationParams at;
+    at.target_load_ceiling = 0.5;
+    PackerRig rig(engine::PlacementMap({0, 1}, 2), at);
+    rig.loads = {0.25, 0.25};
+    rig.packer.Consolidate();
+    EXPECT_EQ(rig.moves, (Moves{{0, 1}}));
+  }
+  {  // A single populated unit has nowhere to go.
+    PackerRig rig(engine::PlacementMap({1, 1}, 3));
+    rig.packer.Consolidate();
+    EXPECT_TRUE(rig.moves.empty());
+    EXPECT_EQ(rig.load_calls, (std::vector<SocketId>{1}));
+  }
+}
+
+TEST(PlacementPackerTest, IneligibleUnitsAreNeverChosen) {
+  PackerRig rig(engine::PlacementMap({0, 1, 1, 2, 3, 3, 3, 3}, 5));
+  rig.loads = {0.01, 0.1, 0.05, 0.4, 0.0};
+  rig.eligible = {false, true, true, false, true};
+  // Unit 0 would be the donor and unit 3 the receiver if they were on.
+  rig.packer.Consolidate();
+  EXPECT_EQ(rig.moves, (Moves{{3, 1}}));
+  EXPECT_EQ(rig.load_calls, (std::vector<SocketId>{1, 2, 1}));
+
+  // Spread: unit 3 (off) is the fullest, but the source is unit 1, the
+  // fullest on unit; the destination is unit 2, the first empty on unit.
+  // p3 goes back first: its initial home is unit 2.
+  rig.moves.clear();
+  rig.packer.Spread();
+  EXPECT_EQ(rig.moves, (Moves{{3, 2}}));
+}
+
+TEST(PlacementPackerTest, SpreadHalvesTheGapInitialHomeFirst) {
+  // Initial placement: unit 0 = p0-p3, unit 1 = p4-p7, unit 2 = p8-p11.
+  // Then p8, p9 move to unit 0 and p10, p11 to unit 1, leaving unit 2
+  // empty and units 0 and 1 tied at six partitions.
+  engine::PlacementMap map(12, 3);
+  for (const auto& [p, to] : Moves{{8, 0}, {9, 0}, {10, 1}, {11, 1}}) {
+    map.BeginMigration(p, to);
+    map.CommitMigration(p);
+  }
+  PackerRig rig(std::move(map));
+  rig.packer.Spread();
+  // The tie for the fullest unit goes to unit 0. The gap of 6 moves 3:
+  // the two partitions whose initial home is unit 2, then the lowest id.
+  EXPECT_EQ(rig.moves, (Moves{{8, 2}, {9, 2}, {0, 2}}));
+  EXPECT_EQ(rig.packer.spread_moves(), 3);
+  EXPECT_EQ(rig.packer.consolidation_moves(), 0);
+  EXPECT_TRUE(rig.load_calls.empty());  // spreading counts partitions only
+}
+
+TEST(PlacementPackerTest, SpreadIsCappedAndNeedsAGapOfTwo) {
+  ConsolidationParams limits;
+  limits.spread_migrations_per_tick = 2;
+  PackerRig rig(engine::PlacementMap({0, 0, 0, 0, 0, 0, 0, 0}, 2), limits);
+  rig.packer.Spread();  // gap 8 allows 4, the cap 2
+  EXPECT_EQ(rig.moves, (Moves{{0, 1}, {1, 1}}));
+
+  PackerRig even(engine::PlacementMap({0, 0, 1}, 2), limits);
+  even.packer.Spread();  // gap 1
+  EXPECT_TRUE(even.moves.empty());
+}
+
+TEST(PlacementPackerTest, DwellHoldsAReversalButNotAContinuation) {
+  using Direction = PlacementPacker::Direction;
+  PackerRig rig(engine::PlacementMap({0, 0, 1, 1}, 2));
+  rig.loads = {0.1, 0.2};
+  rig.packer.ObserveMigrations();
+  EXPECT_FALSE(rig.packer.Holds(Direction::kSpread));
+  EXPECT_FALSE(rig.packer.Holds(Direction::kConsolidate));
+
+  rig.sim.RunFor(Seconds(5));
+  rig.packer.Consolidate();
+  ASSERT_EQ(rig.moves.size(), 2u);
+  rig.packer.ObserveMigrations();  // the dwell clock starts at t = 5 s
+  EXPECT_TRUE(rig.packer.Holds(Direction::kSpread));
+  EXPECT_FALSE(rig.packer.Holds(Direction::kConsolidate));
+
+  // Ticks that see no new completion do not restart the clock.
+  rig.sim.RunFor(Seconds(14));
+  rig.packer.ObserveMigrations();
+  EXPECT_TRUE(rig.packer.Holds(Direction::kSpread));
+  rig.sim.RunFor(Seconds(1));  // t = 20 s: post_migration_hold has passed
+  rig.packer.ObserveMigrations();
+  EXPECT_FALSE(rig.packer.Holds(Direction::kSpread));
+
+  // A spread batch flips which direction the next completion holds.
+  rig.packer.Spread();
+  ASSERT_EQ(rig.moves.size(), 4u);
+  rig.packer.ObserveMigrations();
+  EXPECT_TRUE(rig.packer.Holds(Direction::kConsolidate));
+  EXPECT_FALSE(rig.packer.Holds(Direction::kSpread));
+}
+
+TEST(PlacementPackerTest, BatchesLeaveInstantsOnTheTiersLane) {
+  telemetry::TelemetryParams tp;
+  tp.enabled = true;
+  telemetry::Telemetry tel(tp);
+  ConsolidationParams params;
+  params.telemetry = &tel;
+  const int lane = tel.trace().RegisterLane("test/packer");
+  PackerRig rig(engine::PlacementMap({0, 1}, 2), params, lane);
+  rig.loads = {0.1, 0.2};
+  rig.packer.Consolidate();
+  rig.packer.Spread();
+  const std::vector<const telemetry::TraceEvent*> events =
+      tel.trace().InOrder();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0]->lane, lane);
+  EXPECT_EQ(events[0]->cat, "test");
+  EXPECT_EQ(events[0]->name, "consolidate_batch");
+  EXPECT_EQ(events[0]->args, "\"donor\":0,\"receiver\":1,\"migrations\":1");
+  EXPECT_EQ(events[1]->name, "spread_batch");
+  EXPECT_EQ(events[1]->args, "\"src\":1,\"dst\":0,\"migrations\":1");
 }
 
 }  // namespace
