@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks of the hot building blocks: message
-// rings, partition queues, the hash index, the vectorized query engine,
+// FIFOs, partition queues, the hash index, the vectorized query engine,
 // profile lookup, and the performance-model solver.
 #include <benchmark/benchmark.h>
 
@@ -12,8 +12,8 @@
 #include "engine/placement.h"
 #include "engine/table.h"
 #include "hwsim/machine.h"
-#include "msg/mpmc_ring.h"
 #include "msg/partition_queue.h"
+#include "msg/segmented_fifo.h"
 #include "profile/config_generator.h"
 #include "profile/energy_profile.h"
 #include "workload/work_profiles.h"
@@ -21,37 +21,39 @@
 namespace ecldb {
 namespace {
 
-void BM_MpmcRingPushPop(benchmark::State& state) {
-  msg::MpmcRing<int64_t> ring(1024);
+void BM_SegmentedFifoPushPop(benchmark::State& state) {
+  msg::SegmentedFifo<int64_t> fifo(1024);
   int64_t v = 0;
   for (auto _ : state) {
-    ring.TryPush(v);
+    fifo.TryPush(v);
     int64_t out = 0;
-    ring.TryPop(&out);
+    fifo.TryPop(&out);
     benchmark::DoNotOptimize(out);
     ++v;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MpmcRingPushPop);
+BENCHMARK(BM_SegmentedFifoPushPop);
 
-// A default-capacity message ring takes 63 messages per segment, so each
-// push-64/pop-64 lap links in (and later frees) one segment.
-void BM_MpmcRingSegmentCrossing(benchmark::State& state) {
-  msg::MpmcRing<msg::Message> ring(1 << 14);
+// A default-capacity message FIFO takes 73 messages per segment, and a
+// drained FIFO refills its one segment from the start, so each lap of 74
+// pushes then 74 pops links in (and later frees) one segment.
+void BM_SegmentedFifoSegmentCrossing(benchmark::State& state) {
+  msg::SegmentedFifo<msg::Message> fifo(1 << 14);
+  const size_t lap = fifo.segment_capacity() + 1;
   msg::Message m;
   msg::Message out;
   for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      ring.TryPush(m);
+    for (size_t i = 0; i < lap; ++i) {
+      fifo.TryPush(m);
       ++m.query_id;
     }
-    for (int i = 0; i < 64; ++i) ring.TryPop(&out);
+    for (size_t i = 0; i < lap; ++i) fifo.TryPop(&out);
     benchmark::DoNotOptimize(out);
   }
-  state.SetItemsProcessed(state.iterations() * 64);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(lap));
 }
-BENCHMARK(BM_MpmcRingSegmentCrossing);
+BENCHMARK(BM_SegmentedFifoSegmentCrossing);
 
 void BM_PartitionQueueBatch(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));

@@ -140,10 +140,9 @@ bool ClusterEngine::StartMigration(PartitionId p, NodeId to) {
   const double bytes = copy.bytes;
   const QueryId copy_query = src.Submit(copy.query);
 
-  simulator_->ScheduleAfter(params_.migration.min_copy_time,
-                            [this, p, copy_query, bytes] {
-                              CheckDrain(p, copy_query, bytes);
-                            });
+  simulator_->ScheduleAfter(kMinCopyTime, [this, p, copy_query, bytes] {
+    CheckDrain(p, copy_query, bytes);
+  });
   return true;
 }
 
@@ -154,7 +153,7 @@ void ClusterEngine::CheckDrain(PartitionId p, QueryId copy_query,
   if (!placement_->IsMigrating(p)) return;
   const NodeId from = placement_->HomeOf(p);
   if (node_engine(from).scheduler().IsInflight(copy_query)) {
-    simulator_->ScheduleAfter(params_.migration.check_interval,
+    simulator_->ScheduleAfter(kMigrationCheckInterval,
                               [this, p, copy_query, bytes] {
                                 CheckDrain(p, copy_query, bytes);
                               });

@@ -23,8 +23,8 @@ struct ClusterEngineParams {
   /// nodes.
   int num_partitions = 0;
   /// Node-level migration knobs: bytes_per_op / min_shard_bytes price the
-  /// local drain+copy, check_interval paces the handover poll. The copy
-  /// then crosses the network at NIC speed instead of QPI speed.
+  /// local drain+copy (kMigrationCheckInterval paces the handover poll).
+  /// The copy then crosses the network at NIC speed instead of QPI speed.
   MigrationParams migration;
   /// Stale-epoch forward chains longer than this fail the sub-query with
   /// FailReason::kForwardCap instead of hopping again — a livelock guard

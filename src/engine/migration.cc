@@ -91,7 +91,7 @@ bool MigrationCoordinator::StartMigration(PartitionId p, SocketId to) {
   const double qpi_gbps = machine_->params().bandwidth.qpi_gbps;
   const SimDuration estimate =
       qpi_gbps > 0.0 ? FromSeconds(bytes / (qpi_gbps * 1e9)) : SimDuration{0};
-  const SimDuration first_check = std::max(params_.min_copy_time, estimate);
+  const SimDuration first_check = std::max(kMinCopyTime, estimate);
   const SimTime t_start = simulator_->now();
   simulator_->ScheduleAfter(first_check, [this, p, copy_query, bytes, t_start] {
     CheckHandover(p, copy_query, bytes, t_start);
@@ -102,7 +102,7 @@ bool MigrationCoordinator::StartMigration(PartitionId p, SocketId to) {
 void MigrationCoordinator::CheckHandover(PartitionId p, QueryId copy_query,
                                          double bytes, SimTime t_start) {
   if (scheduler_->IsInflight(copy_query)) {
-    simulator_->ScheduleAfter(params_.check_interval,
+    simulator_->ScheduleAfter(kMigrationCheckInterval,
                               [this, p, copy_query, bytes, t_start] {
                                 CheckHandover(p, copy_query, bytes, t_start);
                               });

@@ -13,15 +13,17 @@
 
 namespace ecldb::engine {
 
+/// Handover poll interval: after the copy query is submitted, the
+/// coordinator (in-box or rack) checks at this granularity whether it has
+/// drained.
+inline constexpr SimDuration kMigrationCheckInterval = Millis(10);
+/// First handover check after at least this long (covers tiny shards).
+inline constexpr SimDuration kMinCopyTime = Millis(1);
+
 struct MigrationParams {
   /// Bytes of shard state copied per fluid operation of the copy query
   /// (one cache line per op).
   double bytes_per_op = 64.0;
-  /// Handover poll interval: after the copy query is submitted, the
-  /// coordinator checks at this granularity whether it has drained.
-  SimDuration check_interval = Millis(10);
-  /// First handover check after this long (covers tiny shards).
-  SimDuration min_copy_time = Millis(1);
   /// Floor on the modeled shard size. Fluid-only workloads keep no real
   /// table data, so benches set this to model a realistic copy cost;
   /// 0 = use the partition's actual in-memory bytes only.

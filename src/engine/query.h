@@ -76,6 +76,10 @@ struct QuerySpec {
   int8_t forward_hops = 0;
 };
 
+/// Horizon of the schedulers' latency sliding window, the one the
+/// system-level ECL reads.
+inline constexpr SimDuration kLatencyWindow = Seconds(5);
+
 /// Collects completed-query latencies: a sliding window for the
 /// system-level ECL (current average + trend) and full-run statistics for
 /// the benches.

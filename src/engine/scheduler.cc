@@ -10,6 +10,11 @@
 namespace ecldb::engine {
 namespace {
 
+/// Messages dequeued per ownership grab. Small batches bound the ownership
+/// stint so backlogged partitions are rotated quickly (tail latency);
+/// large batches amortize the acquire/release handshake.
+constexpr size_t kDequeueBatch = 8;
+
 int64_t EncodeOps(double ops) { return msg::EncodeMessageOps(ops); }
 double DecodeOps(int64_t bits) {
   return std::bit_cast<double>(bits);
@@ -28,7 +33,7 @@ Scheduler::Scheduler(sim::Simulator* simulator, hwsim::Machine* machine,
       placement_(placement),
       params_(params),
       spill_(static_cast<size_t>(db->num_partitions())),
-      latency_(params.latency_window),
+      latency_(kLatencyWindow),
       outstanding_morsels_(static_cast<size_t>(db->num_partitions()), 0) {
   const hwsim::Topology& topo = machine_->topology();
   ECLDB_CHECK_MSG(!params_.static_binding ||
@@ -316,7 +321,7 @@ bool Scheduler::AcquireWork(Worker* w) {
       }
       w->batch.clear();
       w->batch_pos = 0;
-      if (w->owned->DequeueBatch(w->id, params_.batch_size, &w->batch) == 0) {
+      if (w->owned->DequeueBatch(w->id, kDequeueBatch, &w->batch) == 0) {
         return false;
       }
     }
@@ -339,12 +344,8 @@ bool Scheduler::AcquireWork(Worker* w) {
     msg::PartitionQueue* q = router->AcquireNonEmpty(w->id, &w->rr_cursor);
     if (q == nullptr) return false;
     w->owned = q;
-    if (q->DequeueBatch(w->id, params_.batch_size, &w->batch) == 0) {
-      // Raced to empty; try the next queue.
-      ReleaseOwnership(w, /*requeue_batch=*/false);
-    } else {
-      MaybeReleaseMorselBatch(w);
-    }
+    q->DequeueBatch(w->id, kDequeueBatch, &w->batch);  // q is non-empty
+    MaybeReleaseMorselBatch(w);
   }
 }
 
@@ -539,14 +540,13 @@ const hwsim::WorkProfile* Scheduler::PeekProfile(Worker* w) {
   }
   // Work pending anywhere on this socket? The worker will grab it next
   // slice; intensity 1 with the socket's dominant pending profile.
-  if (w->owned != nullptr && !w->owned->EmptyApprox()) {
+  if (w->owned != nullptr && !w->owned->Empty()) {
     // Peek by dequeuing into the batch now.
     w->batch.clear();
     w->batch_pos = 0;
-    if (w->owned->DequeueBatch(w->id, params_.batch_size, &w->batch) > 0) {
-      MaybeReleaseMorselBatch(w);
-      return ProfileOfMessage(w->batch[0]);
-    }
+    w->owned->DequeueBatch(w->id, kDequeueBatch, &w->batch);
+    MaybeReleaseMorselBatch(w);
+    return ProfileOfMessage(w->batch[0]);
   }
   // Any other queue on the socket with work? AcquireNonEmpty skips empty
   // queues and leaves the cursor alone when it finds none.
@@ -557,11 +557,9 @@ const hwsim::WorkProfile* Scheduler::PeekProfile(Worker* w) {
     w->owned = q;
     w->batch.clear();
     w->batch_pos = 0;
-    if (q->DequeueBatch(w->id, params_.batch_size, &w->batch) > 0) {
-      MaybeReleaseMorselBatch(w);
-      return ProfileOfMessage(w->batch[0]);
-    }
-    ReleaseOwnership(w, false);
+    q->DequeueBatch(w->id, kDequeueBatch, &w->batch);  // q is non-empty
+    MaybeReleaseMorselBatch(w);
+    return ProfileOfMessage(w->batch[0]);
   }
   return nullptr;
 }

@@ -19,12 +19,6 @@
 namespace ecldb::engine {
 
 struct SchedulerParams {
-  /// Messages dequeued per ownership grab. Small batches bound the
-  /// ownership stint so backlogged partitions are rotated quickly (tail
-  /// latency); large batches amortize the acquire/release handshake.
-  size_t batch_size = 8;
-  /// Horizon of the latency sliding window used by the system-level ECL.
-  SimDuration latency_window = Seconds(5);
   /// Static worker-partition binding: the ORIGINAL data-oriented
   /// architecture the paper improves upon (Section 3). Each worker serves
   /// only its own partition; when the ECL puts a hardware thread to sleep,

@@ -14,7 +14,7 @@ TxnScheduler::TxnScheduler(sim::Simulator* simulator, hwsim::Machine* machine,
       db_(db),
       params_(params),
       workers_(static_cast<size_t>(machine->topology().total_threads())),
-      latency_(params.latency_window) {
+      latency_(kLatencyWindow) {
   ECLDB_CHECK(simulator != nullptr && machine != nullptr && db != nullptr);
   // Advance-only: the scheduler reports no stationarity horizon and has no
   // fast-forward hook, so registering it disables fast-forward for the

@@ -25,7 +25,6 @@ struct TxnSchedulerParams {
   /// Extra memory-latency factor from non-local data access (transactions
   /// run on any worker; partitions have no home affinity).
   double remote_access_factor = 1.4;
-  SimDuration latency_window = Seconds(5);
 };
 
 /// A classic TRANSACTION-ORIENTED executor, for comparison with the

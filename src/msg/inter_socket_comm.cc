@@ -9,8 +9,8 @@ CommEndpoint::CommEndpoint(SocketId socket, int num_sockets,
     : socket_(socket), outbox_(static_cast<size_t>(num_sockets)) {
   for (int d = 0; d < num_sockets; ++d) {
     if (d != socket) {
-      outbox_[static_cast<size_t>(d)].ring =
-          std::make_unique<MpmcRing<Message>>(channel_capacity);
+      outbox_[static_cast<size_t>(d)].fifo =
+          std::make_unique<SegmentedFifo<Message>>(channel_capacity);
     }
   }
 }
@@ -18,34 +18,28 @@ CommEndpoint::CommEndpoint(SocketId socket, int num_sockets,
 bool CommEndpoint::BufferOutbound(SocketId dest, const Message& m) {
   ECLDB_DCHECK(dest != socket_);
   ECLDB_DCHECK(dest >= 0 && dest < static_cast<SocketId>(outbox_.size()));
-  return outbox_[static_cast<size_t>(dest)].ring->TryPush(m);
+  return outbox_[static_cast<size_t>(dest)].fifo->TryPush(m);
 }
 
 size_t CommEndpoint::Pump(const DeliverFn& deliver, size_t max_batch) {
   size_t moved = 0;
   for (size_t d = 0; d < outbox_.size(); ++d) {
     Outbox& box = outbox_[d];
-    if (box.ring == nullptr) continue;
+    if (box.fifo == nullptr) continue;
     size_t n = 0;
     Message m;
     while (n < max_batch) {
-      // A held message is older than anything in the ring: retry it first.
+      // A held message is older than anything in the FIFO: retry it first.
       if (box.held.has_value()) {
         m = *box.held;
-      } else if (!box.ring->TryPop(&m)) {
+      } else if (!box.fifo->TryPop(&m)) {
         break;
       }
       if (!deliver(static_cast<SocketId>(d), m)) {
-        if (!box.held.has_value()) {
-          box.held = m;
-          held_count_.fetch_add(1, std::memory_order_relaxed);
-        }
+        box.held = m;
         break;
       }
-      if (box.held.has_value()) {
-        box.held.reset();
-        held_count_.fetch_sub(1, std::memory_order_relaxed);
-      }
+      box.held.reset();
       ++n;
     }
     moved += n;
@@ -63,10 +57,10 @@ size_t CommEndpoint::Pump(std::vector<IntraSocketRouter*>& routers,
       max_batch);
 }
 
-size_t CommEndpoint::OutboundPendingApprox() const {
-  size_t sum = held_count_.load(std::memory_order_relaxed);
+size_t CommEndpoint::OutboundPending() const {
+  size_t sum = 0;
   for (const Outbox& box : outbox_) {
-    if (box.ring != nullptr) sum += box.ring->SizeApprox();
+    if (box.fifo != nullptr) sum += box.fifo->Size() + box.held.has_value();
   }
   return sum;
 }
@@ -74,7 +68,7 @@ size_t CommEndpoint::OutboundPendingApprox() const {
 size_t CommEndpoint::MemoryBytes() const {
   size_t bytes = 0;
   for (const Outbox& box : outbox_) {
-    if (box.ring != nullptr) bytes += box.ring->MemoryBytes();
+    if (box.fifo != nullptr) bytes += box.fifo->MemoryBytes();
   }
   return bytes;
 }

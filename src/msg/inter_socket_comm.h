@@ -1,7 +1,6 @@
 #ifndef ECLDB_MSG_INTER_SOCKET_COMM_H_
 #define ECLDB_MSG_INTER_SOCKET_COMM_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -11,7 +10,7 @@
 #include "common/types.h"
 #include "msg/intra_socket_router.h"
 #include "msg/message.h"
-#include "msg/mpmc_ring.h"
+#include "msg/segmented_fifo.h"
 
 namespace ecldb::msg {
 
@@ -31,8 +30,8 @@ class CommEndpoint {
   SocketId socket() const { return socket_; }
 
   /// Buffers a message destined for `dest` (!= own socket). Any worker of
-  /// this socket may call this concurrently; the socket's communication
-  /// thread is the only consumer. Returns false when the channel is full.
+  /// this socket may call this; the socket's communication thread is the
+  /// only consumer. Returns false when the channel is full.
   bool BufferOutbound(SocketId dest, const Message& m);
 
   /// Delivery callback: hands one message to the destination socket;
@@ -50,10 +49,10 @@ class CommEndpoint {
   /// routers (no placement indirection; direct msg-level use and tests).
   size_t Pump(std::vector<IntraSocketRouter*>& routers, size_t max_batch);
 
-  /// Messages waiting in all outboxes, held ones included (approximate).
-  size_t OutboundPendingApprox() const;
+  /// Messages waiting in all outboxes, held ones included.
+  size_t OutboundPending() const;
 
-  /// Ring segments held by all outboxes (0 until a message is buffered).
+  /// FIFO segments held by all outboxes (0 until a message is buffered).
   size_t MemoryBytes() const;
 
   /// Total messages ever transferred by this endpoint.
@@ -61,15 +60,13 @@ class CommEndpoint {
 
  private:
   struct Outbox {
-    std::unique_ptr<MpmcRing<Message>> ring;  // null for the own socket
+    std::unique_ptr<SegmentedFifo<Message>> fifo;  // null for the own socket
     /// Popped message whose delivery failed; only the pump touches it.
     std::optional<Message> held;
   };
 
   SocketId socket_;
   std::vector<Outbox> outbox_;  // per destination
-  /// Outboxes with a held message, readable off the communication thread.
-  std::atomic<size_t> held_count_{0};
   int64_t transferred_ = 0;
 };
 

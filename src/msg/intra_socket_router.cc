@@ -45,7 +45,7 @@ bool IntraSocketRouter::Enqueue(const Message& m) {
   const bool ok =
       queues_[static_cast<size_t>(local_index_[static_cast<size_t>(m.partition)])]
           ->Enqueue(m);
-  if (!ok) enqueue_rejects_.fetch_add(1, std::memory_order_relaxed);
+  if (!ok) ++enqueue_rejects_;
   return ok;
 }
 
@@ -59,12 +59,7 @@ PartitionQueue* IntraSocketRouter::AcquireNonEmpty(int worker, size_t* cursor) {
   for (size_t step = 0; step < n; ++step) {
     if (++i == n) i = 0;
     PartitionQueue* q = queues_[i];
-    if (q->EmptyApprox()) continue;
-    if (q->TryAcquire(worker)) {
-      if (q->EmptyApprox()) {  // raced with another worker draining it
-        q->Release(worker);
-        continue;
-      }
+    if (!q->Empty() && q->TryAcquire(worker)) {
       *cursor = i;
       return q;
     }
@@ -77,9 +72,9 @@ PartitionQueue* IntraSocketRouter::queue(PartitionId p) {
   return queues_[static_cast<size_t>(local_index_[static_cast<size_t>(p)])];
 }
 
-size_t IntraSocketRouter::PendingApprox() const {
+size_t IntraSocketRouter::Pending() const {
   size_t sum = 0;
-  for (const PartitionQueue* q : queues_) sum += q->SizeApprox();
+  for (const PartitionQueue* q : queues_) sum += q->Size();
   return sum;
 }
 

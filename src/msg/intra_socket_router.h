@@ -1,7 +1,6 @@
 #ifndef ECLDB_MSG_INTRA_SOCKET_ROUTER_H_
 #define ECLDB_MSG_INTRA_SOCKET_ROUTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -53,14 +52,12 @@ class IntraSocketRouter {
   /// Direct access to a partition's queue (must be local).
   PartitionQueue* queue(PartitionId p);
 
-  /// Total messages pending across all local partitions (approximate).
-  size_t PendingApprox() const;
+  /// Total messages pending across all local partitions.
+  size_t Pending() const;
 
   /// Enqueue() calls rejected because the target queue was full
   /// (backpressure seen by any producer: sends, comm pumps, requeues).
-  int64_t enqueue_rejects() const {
-    return enqueue_rejects_.load(std::memory_order_relaxed);
-  }
+  int64_t enqueue_rejects() const { return enqueue_rejects_; }
 
  private:
   SocketId socket_;
@@ -68,7 +65,7 @@ class IntraSocketRouter {
   std::vector<PartitionQueue*> queues_;  // parallel to partition_ids_
   /// Dense lookup: global partition id -> local index (-1 if foreign).
   std::vector<int> local_index_;
-  std::atomic<int64_t> enqueue_rejects_{0};
+  int64_t enqueue_rejects_ = 0;
 };
 
 }  // namespace ecldb::msg

@@ -25,7 +25,8 @@ enum class MessageType : int32_t {
 };
 
 /// Fixed-size message exchanged between worker threads. Plain data so that
-/// messages can live in lock-free rings without allocation.
+/// queue segments hold messages as raw bytes, without per-message
+/// allocation.
 struct Message {
   QueryId query_id = 0;
   PartitionId partition = -1;

@@ -43,18 +43,18 @@ MessageLayer::MessageLayer(int num_sockets, const PlacementView* placement,
       c.comm_rejects = reg.AddCounter(base + "comm_rejects");
       c.stale_forwards = reg.AddCounter(base + "stale_forwards");
       c.rehome_transfers = reg.AddCounter(base + "rehome_transfers");
-      // The router's reject counter is an atomic shared with workers; it
-      // stays in place and is exported read-through.
+      // The router keeps its own reject counter; it is exported
+      // read-through.
       reg.AddCounterFn(base + "enqueue_rejects", [this, s] {
         return routers_[static_cast<size_t>(s)]->enqueue_rejects();
       });
       reg.AddGauge(base + "router_pending", [this, s] {
         return static_cast<double>(
-            routers_[static_cast<size_t>(s)]->PendingApprox());
+            routers_[static_cast<size_t>(s)]->Pending());
       });
       reg.AddGauge(base + "comm_outbound_pending", [this, s] {
         return static_cast<double>(
-            comms_[static_cast<size_t>(s)]->OutboundPendingApprox());
+            comms_[static_cast<size_t>(s)]->OutboundPending());
       });
     }
   }
@@ -101,7 +101,7 @@ size_t MessageLayer::Rehome(PartitionId p, SocketId from, SocketId to) {
   ECLDB_CHECK(p >= 0 && p < num_partitions());
   PartitionQueue* queue = routers_[static_cast<size_t>(from)]->Deregister(p);
   routers_[static_cast<size_t>(to)]->Register(p, queue);
-  const size_t moved = queue->SizeApprox();
+  const size_t moved = queue->Size();
   stats_[static_cast<size_t>(to)].rehome_transfers.Add(
       static_cast<int64_t>(moved));
   return moved;
@@ -148,10 +148,10 @@ MessageLayer::SocketStats MessageLayer::socket_stats(SocketId s) const {
   return out;
 }
 
-size_t MessageLayer::PendingApprox() const {
+size_t MessageLayer::Pending() const {
   size_t sum = 0;
-  for (const auto& r : routers_) sum += r->PendingApprox();
-  for (const auto& c : comms_) sum += c->OutboundPendingApprox();
+  for (const auto& r : routers_) sum += r->Pending();
+  for (const auto& c : comms_) sum += c->OutboundPending();
   return sum;
 }
 

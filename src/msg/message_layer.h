@@ -99,12 +99,12 @@ class MessageLayer {
   /// enqueue rejections).
   SocketStats socket_stats(SocketId s) const;
 
-  /// Pending messages anywhere in the layer (approximate).
-  size_t PendingApprox() const;
+  /// Pending messages anywhere in the layer.
+  size_t Pending() const;
 
-  /// Ring segments held now by every partition queue and comm outbox. A
-  /// ring holds none until its first message and at most one once
-  /// drained, so this follows the queued messages, not the ring count.
+  /// FIFO segments held now by every partition queue and comm outbox. A
+  /// FIFO holds none until its first message and one once drained, so
+  /// this follows the queued messages, not the queue count.
   size_t MemoryBytes() const;
 
  private:
@@ -113,10 +113,10 @@ class MessageLayer {
   bool DeliverAt(SocketId at, const Message& m);
 
   /// Counter-handle mirror of SocketStats. Without a telemetry context the
-  /// handles count into their own inline storage — identical cost and
-  /// thread-safety to the plain int64 fields they replaced. The router's
-  /// enqueue-reject counter stays an atomic inside the router (workers hit
-  /// it concurrently) and is exported read-through.
+  /// handles count into their own inline storage, at the cost of the plain
+  /// int64 fields they replaced. The router's enqueue-reject counter stays
+  /// inside the router, which counts every producer's rejections, and is
+  /// exported read-through.
   struct SocketCounters {
     telemetry::Counter send_rejects;
     telemetry::Counter comm_rejects;

@@ -5,47 +5,35 @@
 namespace ecldb::msg {
 
 PartitionQueue::PartitionQueue(PartitionId partition, size_t capacity)
-    : partition_(partition), ring_(capacity) {}
-
-void PartitionQueue::AddPendingOps(double delta) {
-  // CAS loop instead of fetch_add: atomic<double>::fetch_add is C++20 but
-  // not universally lowered; relaxed order is enough for a diagnostic
-  // counter that is only exact when the queue is quiesced.
-  double cur = pending_ops_.load(std::memory_order_relaxed);
-  while (!pending_ops_.compare_exchange_weak(cur, cur + delta,
-                                             std::memory_order_relaxed)) {
-  }
-}
+    : partition_(partition), fifo_(capacity) {}
 
 bool PartitionQueue::Enqueue(const Message& m) {
   ECLDB_DCHECK(m.partition == partition_);
-  if (!ring_.TryPush(m)) return false;
-  AddPendingOps(MessageOps(m));
+  if (!fifo_.TryPush(m)) return false;
+  pending_ops_ += MessageOps(m);
   return true;
 }
 
 bool PartitionQueue::TryAcquire(int owner) {
   ECLDB_DCHECK(owner >= 0);
-  int expected = -1;
-  return owner_.compare_exchange_strong(expected, owner,
-                                        std::memory_order_acq_rel);
+  if (owner_ != -1) return false;
+  owner_ = owner;
+  return true;
 }
 
 void PartitionQueue::Release(int owner) {
-  int expected = owner;
-  const bool ok = owner_.compare_exchange_strong(expected, -1,
-                                                 std::memory_order_acq_rel);
-  ECLDB_CHECK_MSG(ok, "Release by non-owner");
+  ECLDB_CHECK_MSG(owner_ == owner, "Release by non-owner");
+  owner_ = -1;
 }
 
 size_t PartitionQueue::DequeueBatch(int owner, size_t max_batch,
                                     std::vector<Message>* out) {
-  ECLDB_DCHECK(owner_.load(std::memory_order_acquire) == owner);
+  ECLDB_DCHECK(owner_ == owner);
   (void)owner;
   size_t n = 0;
   Message m;
-  while (n < max_batch && ring_.TryPop(&m)) {
-    AddPendingOps(-MessageOps(m));
+  while (n < max_batch && fifo_.TryPop(&m)) {
+    pending_ops_ -= MessageOps(m);
     out->push_back(m);
     ++n;
   }

@@ -1,13 +1,12 @@
 #ifndef ECLDB_MSG_PARTITION_QUEUE_H_
 #define ECLDB_MSG_PARTITION_QUEUE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <vector>
 
 #include "common/types.h"
 #include "msg/message.h"
-#include "msg/mpmc_ring.h"
+#include "msg/segmented_fifo.h"
 
 namespace ecldb::msg {
 
@@ -18,9 +17,10 @@ namespace ecldb::msg {
 /// ownership of the entire partition, process the messages, and release
 /// the partition."
 ///
-/// Any thread may enqueue; batch-dequeue requires holding the ownership
-/// token, which guarantees latch-free exclusive access to the partition's
-/// data structures while processing.
+/// Any worker may enqueue; batch-dequeue requires holding the ownership
+/// token, which guarantees exclusive access to the partition's data
+/// structures while processing. Workers are actors on one simulator, so
+/// the token is a plain field, not a latch.
 class PartitionQueue {
  public:
   PartitionQueue(PartitionId partition, size_t capacity);
@@ -42,34 +42,30 @@ class PartitionQueue {
   void Release(int owner);
 
   /// Current owner tag or -1. Diagnostic only.
-  int owner() const { return owner_.load(std::memory_order_acquire); }
+  int owner() const { return owner_; }
 
   /// Dequeues up to `max_batch` messages into `out` (appended). Must only
   /// be called while holding ownership. Returns the number dequeued.
   size_t DequeueBatch(int owner, size_t max_batch, std::vector<Message>* out);
 
-  size_t SizeApprox() const { return ring_.SizeApprox(); }
-  bool EmptyApprox() const { return ring_.EmptyApprox(); }
-  /// Ring segments held now: none before the first message, then in step
-  /// with the queued messages (see MpmcRing).
-  size_t MemoryBytes() const { return ring_.MemoryBytes(); }
+  size_t Size() const { return fifo_.Size(); }
+  bool Empty() const { return fifo_.Empty(); }
+  /// FIFO segments held now: none before the first message, then in step
+  /// with the queued messages (see SegmentedFifo).
+  size_t MemoryBytes() const { return fifo_.MemoryBytes(); }
 
   /// Running total of fluid operations queued (sum of MessageOps over the
   /// queued messages), maintained on every enqueue/dequeue so backlog
   /// accounting needs no draining. Operation counts are integral in
   /// practice, so the double accumulator cancels exactly when the queue
-  /// empties. Approximate only while producers/consumers race.
-  double PendingOps() const {
-    return pending_ops_.load(std::memory_order_relaxed);
-  }
+  /// empties.
+  double PendingOps() const { return pending_ops_; }
 
  private:
-  void AddPendingOps(double delta);
-
   PartitionId partition_;
-  MpmcRing<Message> ring_;
-  std::atomic<int> owner_{-1};
-  std::atomic<double> pending_ops_{0.0};
+  SegmentedFifo<Message> fifo_;
+  int owner_ = -1;
+  double pending_ops_ = 0.0;
 };
 
 }  // namespace ecldb::msg

@@ -8,7 +8,7 @@
 #include "hwsim/cluster.h"
 #include "hwsim/machine.h"
 #include "msg/message_layer.h"
-#include "msg/mpmc_ring.h"
+#include "msg/segmented_fifo.h"
 #include "sim/simulator.h"
 #include "workload/work_profiles.h"
 
@@ -49,9 +49,9 @@ class ClusterEngineTest : public ::testing::Test {
     return spec;
   }
 
-  /// Bytes of one segment of a default-capacity partition queue's ring.
+  /// Bytes of one segment of a default-capacity partition queue's FIFO.
   static size_t RingSegmentBytes() {
-    return msg::MpmcRing<msg::Message>(
+    return msg::SegmentedFifo<msg::Message>(
                msg::MessageLayerParams{}.partition_queue_capacity)
         .segment_bytes();
   }
@@ -94,7 +94,7 @@ TEST_F(ClusterEngineTest, CrossNodeSubmitShipsAndCompletes) {
 
 TEST_F(ClusterEngineTest, MessageRingsAllocateOnFirstMessage) {
   // Every node engine has a queue for every cluster partition, but only
-  // queues that receive a message hold ring storage, and a drained one
+  // queues that receive a message hold FIFO storage, and a drained one
   // keeps a single segment.
   Build(hwsim::ClusterParams::Homogeneous(4, hwsim::ClusterNodeParams{}),
         ClusterEngineParams{});
@@ -175,10 +175,10 @@ TEST_F(ClusterEngineTest, NodeMigrationRehomesWithExactness) {
 }
 
 TEST_F(ClusterEngineTest, MigratedPartitionQueueShrinksOnTheOldHome) {
-  // Partition 0 leaves node 0 with a backlog of several ring segments
+  // Partition 0 leaves node 0 with a backlog of several FIFO segments
   // queued there. The backlog completes on node 0 (the drain barrier),
   // after which its queue keeps at most the segment it would fill next,
-  // so node 0's ring memory falls instead of staying at its peak.
+  // so node 0's queue memory falls instead of staying at its peak.
   ClusterEngineParams params;
   params.migration.min_shard_bytes = 16.0 * (1 << 20);
   Build(hwsim::ClusterParams::Homogeneous(2, hwsim::ClusterNodeParams{}),
@@ -196,7 +196,7 @@ TEST_F(ClusterEngineTest, MigratedPartitionQueueShrinksOnTheOldHome) {
   EXPECT_EQ(engine_->migrations_completed(), 1);
   EXPECT_EQ(engine_->placement().HomeOf(0), 1);
   EXPECT_EQ(engine_->CompletedQueries(), kQueries);
-  EXPECT_TRUE(queue.EmptyApprox());
+  EXPECT_TRUE(queue.Empty());
   EXPECT_LE(queue.MemoryBytes(), segment);
   EXPECT_LT(old_home.MemoryBytes(), backlog_bytes);
 }

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
-#include <latch>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -13,9 +10,9 @@
 #include "msg/intra_socket_router.h"
 #include "msg/message.h"
 #include "msg/message_layer.h"
-#include "msg/mpmc_ring.h"
 #include "msg/partition_queue.h"
 #include "msg/placement_view.h"
+#include "msg/segmented_fifo.h"
 
 namespace ecldb::msg {
 namespace {
@@ -28,10 +25,7 @@ Message MakeMsg(PartitionId p, int64_t tag = 0) {
   return m;
 }
 
-/// One cell of an int64 ring: the value and its two state bytes, padded
-/// to the value's alignment.
-constexpr size_t kInt64CellBytes = 2 * sizeof(int64_t);
-/// A ring segment is its link to the next segment plus its cells.
+/// A FIFO segment is its link to the next segment plus its cells.
 constexpr size_t kSegmentHeaderBytes = sizeof(void*);
 
 /// Minimal mutable placement for layer tests (the real implementation is
@@ -60,109 +54,84 @@ struct RouterHarness {
   }
 };
 
+// The suite keeps the name of the ring type SegmentedFifo replaced.
 TEST(MpmcRingTest, FifoSingleThread) {
-  MpmcRing<int> ring(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.TryPush(i));
-  EXPECT_FALSE(ring.TryPush(9));
+  SegmentedFifo<int> fifo(8);
+  for (int i = 0; i < 8; ++i) EXPECT_TRUE(fifo.TryPush(i));
+  EXPECT_FALSE(fifo.TryPush(9));
   int v;
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ring.TryPop(&v));
+    ASSERT_TRUE(fifo.TryPop(&v));
     EXPECT_EQ(v, i);
   }
-  EXPECT_FALSE(ring.TryPop(&v));
-}
-
-TEST(MpmcRingTest, MultiProducerMultiConsumerStress) {
-  MpmcRing<int64_t> ring(1024);
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int64_t kPerProducer = 50000;
-  std::atomic<int64_t> sum{0};
-  std::atomic<int64_t> popped{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int64_t i = 0; i < kPerProducer; ++i) {
-        const int64_t v = p * kPerProducer + i;
-        while (!ring.TryPush(v)) {
-        }
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      int64_t v;
-      while (popped.load() < kProducers * kPerProducer) {
-        if (ring.TryPop(&v)) {
-          sum.fetch_add(v);
-          popped.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const int64_t n = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), n);
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+  EXPECT_FALSE(fifo.TryPop(&v));
 }
 
 TEST(MpmcRingTest, AllocatesOnFirstPushOnly) {
-  MpmcRing<int64_t> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-  // A tiny ring's segment holds its whole capacity: the smallest
-  // 2^k - 1 cells that reach 8.
-  EXPECT_EQ(ring.segment_capacity(), 15u);
-  EXPECT_EQ(ring.segment_bytes(), kSegmentHeaderBytes + 15 * kInt64CellBytes);
+  SegmentedFifo<int64_t> fifo(5);
+  EXPECT_EQ(fifo.capacity(), 8u);
+  // A small FIFO's segment holds just its whole capacity.
+  EXPECT_EQ(fifo.segment_capacity(), 8u);
+  EXPECT_EQ(fifo.segment_bytes(), kSegmentHeaderBytes + 8 * sizeof(int64_t));
   int64_t v;
-  EXPECT_FALSE(ring.TryPop(&v));
-  EXPECT_EQ(ring.SizeApprox(), 0u);
-  EXPECT_TRUE(ring.EmptyApprox());
-  EXPECT_EQ(ring.MemoryBytes(), 0u);  // reading a fresh ring allocates nothing
-  ASSERT_TRUE(ring.TryPush(1));
-  EXPECT_EQ(ring.MemoryBytes(), ring.segment_bytes());  // one segment
-  ASSERT_TRUE(ring.TryPop(&v));
+  EXPECT_FALSE(fifo.TryPop(&v));
+  EXPECT_EQ(fifo.Size(), 0u);
+  EXPECT_TRUE(fifo.Empty());
+  EXPECT_EQ(fifo.MemoryBytes(), 0u);  // reading a fresh FIFO allocates nothing
+  ASSERT_TRUE(fifo.TryPush(1));
+  EXPECT_EQ(fifo.MemoryBytes(), fifo.segment_bytes());  // one segment
+  ASSERT_TRUE(fifo.TryPop(&v));
   EXPECT_EQ(v, 1);
-  EXPECT_EQ(ring.MemoryBytes(), ring.segment_bytes());  // the one it fills next
+  EXPECT_EQ(fifo.MemoryBytes(), fifo.segment_bytes());  // the one it fills next
 }
 
 TEST(MpmcRingTest, MemoryFollowsDepth) {
-  MpmcRing<int64_t> ring(1 << 14);
-  const size_t seg = ring.segment_capacity();
-  const size_t seg_bytes = ring.segment_bytes();
-  // A page-sized segment: 255 cells of 16 B plus the link.
-  EXPECT_EQ(seg, 255u);
-  EXPECT_LE(seg_bytes, MpmcRing<int64_t>::kSegmentBytes);
-  for (int64_t i = 0; i < 1000; ++i) ASSERT_TRUE(ring.TryPush(i));
-  EXPECT_LE(ring.MemoryBytes(), ((1000 + seg - 1) / seg + 1) * seg_bytes);
+  SegmentedFifo<int64_t> fifo(1 << 14);
+  const size_t seg = fifo.segment_capacity();
+  const size_t seg_bytes = fifo.segment_bytes();
+  // A page-sized segment: 511 cells of 8 B plus the link.
+  EXPECT_EQ(seg, 511u);
+  EXPECT_LE(seg_bytes, SegmentedFifo<int64_t>::kSegmentBytes);
+  for (int64_t i = 0; i < 1000; ++i) ASSERT_TRUE(fifo.TryPush(i));
+  EXPECT_LE(fifo.MemoryBytes(), ((1000 + seg - 1) / seg + 1) * seg_bytes);
   int64_t v;
   for (int64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(ring.TryPop(&v));
+    ASSERT_TRUE(fifo.TryPop(&v));
     ASSERT_EQ(v, i);
   }
-  EXPECT_LE(ring.MemoryBytes(), seg_bytes);
-  // 64 queued values span at most two segments of 255 cells, whatever
+  EXPECT_LE(fifo.MemoryBytes(), seg_bytes);
+  // 64 queued values span at most two segments of 511 cells, whatever
   // offset a lap starts at, and every left segment is freed.
   size_t peak = 0;
   for (int lap = 0; lap < 1000; ++lap) {
-    for (int64_t i = 0; i < 64; ++i) ASSERT_TRUE(ring.TryPush(i));
-    peak = std::max(peak, ring.MemoryBytes());
+    for (int64_t i = 0; i < 64; ++i) ASSERT_TRUE(fifo.TryPush(i));
+    peak = std::max(peak, fifo.MemoryBytes());
     for (int64_t i = 0; i < 64; ++i) {
-      ASSERT_TRUE(ring.TryPop(&v));
+      ASSERT_TRUE(fifo.TryPop(&v));
       ASSERT_EQ(v, i);
     }
-    peak = std::max(peak, ring.MemoryBytes());
+    peak = std::max(peak, fifo.MemoryBytes());
   }
   EXPECT_LE(peak, 2 * seg_bytes);
-  EXPECT_LE(ring.MemoryBytes(), seg_bytes);
+  EXPECT_LE(fifo.MemoryBytes(), seg_bytes);
+  // A standing depth of 64 that never drains walks through many segments:
+  // still at most two are held, and values stay in order.
+  for (int64_t i = 0; i < 64; ++i) ASSERT_TRUE(fifo.TryPush(i));
+  for (int64_t i = 64; i < 64 + 10 * static_cast<int64_t>(seg); ++i) {
+    ASSERT_TRUE(fifo.TryPush(i));
+    ASSERT_TRUE(fifo.TryPop(&v));
+    ASSERT_EQ(v, i - 64);
+    ASSERT_LE(fifo.MemoryBytes(), 2 * seg_bytes);
+  }
 }
 
 TEST(MpmcRingTest, CapacityHoldsAcrossSegments) {
-  MpmcRing<int64_t> ring(100);
-  ASSERT_EQ(ring.capacity(), 128u);
-  for (int64_t i = 0; i < 128; ++i) ASSERT_TRUE(ring.TryPush(i));
-  EXPECT_FALSE(ring.TryPush(128));
-  EXPECT_EQ(ring.SizeApprox(), 128u);
-  // Keep the ring full for ten laps of its capacity: one pop frees room
+  SegmentedFifo<int64_t> fifo(100);
+  ASSERT_EQ(fifo.capacity(), 128u);
+  for (int64_t i = 0; i < 128; ++i) ASSERT_TRUE(fifo.TryPush(i));
+  EXPECT_FALSE(fifo.TryPush(128));
+  EXPECT_EQ(fifo.Size(), 128u);
+  // Keep the FIFO full for ten laps of its capacity: one pop frees room
   // for exactly one push, and values leave in the order they came, also
   // where they cross from one segment into the next.
   int64_t next_out = 0;
@@ -170,164 +139,33 @@ TEST(MpmcRingTest, CapacityHoldsAcrossSegments) {
   for (int lap = 0; lap < 10; ++lap) {
     for (int i = 0; i < 128; ++i) {
       int64_t v;
-      ASSERT_TRUE(ring.TryPop(&v));
+      ASSERT_TRUE(fifo.TryPop(&v));
       ASSERT_EQ(v, next_out++);
-      ASSERT_TRUE(ring.TryPush(next_in++));
-      ASSERT_FALSE(ring.TryPush(-1));
+      ASSERT_TRUE(fifo.TryPush(next_in++));
+      ASSERT_FALSE(fifo.TryPush(-1));
     }
   }
-  EXPECT_GT(static_cast<size_t>(next_in), 4 * ring.segment_capacity());
-  EXPECT_EQ(ring.SizeApprox(), 128u);
+  EXPECT_GT(static_cast<size_t>(next_in), 4 * fifo.segment_capacity());
+  EXPECT_EQ(fifo.Size(), 128u);
   int64_t v;
-  while (ring.TryPop(&v)) ASSERT_EQ(v, next_out++);
+  while (fifo.TryPop(&v)) ASSERT_EQ(v, next_out++);
   EXPECT_EQ(next_out, next_in);
 }
 
-TEST(MpmcRingTest, SegmentBoundaryStress) {
-  // A capacity-64 ring of messages has the production geometry of 63
-  // cells per segment, so 200,000 values cross ~3,000 segment boundaries
-  // while the producers keep running into the full bound.
-  MpmcRing<Message> ring(64);
-  ASSERT_EQ(ring.segment_capacity(), 63u);
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int64_t kPerProducer = 50000;
-  constexpr int64_t kTotal = kProducers * kPerProducer;
-  std::vector<std::atomic<int>> seen(kTotal);
-  std::atomic<int64_t> popped{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int64_t i = 0; i < kPerProducer; ++i) {
-        const Message m = MakeMsg(0, p * kPerProducer + i);
-        while (!ring.TryPush(m)) {
-        }
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      Message m;
-      while (popped.load() < kTotal) {
-        if (ring.TryPop(&m)) {
-          seen[static_cast<size_t>(m.query_id)].fetch_add(1);
-          popped.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(popped.load(), kTotal);
-  for (int64_t v = 0; v < kTotal; ++v) {
-    ASSERT_EQ(seen[static_cast<size_t>(v)].load(), 1) << "value " << v;
-  }
-  EXPECT_TRUE(ring.EmptyApprox());
-  EXPECT_EQ(ring.MemoryBytes(), ring.segment_bytes());
-}
-
-TEST(MpmcRingTest, ConcurrentFirstPush) {
-  // Every producer's first push races to install the first segment;
-  // consumers pop from the start, so they also see the ring before it
-  // exists.
-  MpmcRing<int64_t> ring(64);
-  constexpr int kProducers = 8;
-  constexpr int kConsumers = 2;
-  constexpr int64_t kPerProducer = 4000;
-  constexpr int64_t kTotal = kProducers * kPerProducer;
-  std::vector<std::atomic<int>> seen(kTotal);
-  std::atomic<int64_t> popped{0};
-  std::latch start(kProducers);
-  std::vector<std::thread> threads;
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      int64_t v;
-      while (popped.load() < kTotal) {
-        if (ring.TryPop(&v)) {
-          seen[static_cast<size_t>(v)].fetch_add(1);
-          popped.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      start.arrive_and_wait();
-      for (int64_t i = 0; i < kPerProducer; ++i) {
-        while (!ring.TryPush(p * kPerProducer + i)) {
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(popped.load(), kTotal);
-  for (int64_t v = 0; v < kTotal; ++v) {
-    ASSERT_EQ(seen[static_cast<size_t>(v)].load(), 1) << "value " << v;
-  }
-  // Exactly one segment is left: every segment the values passed through
-  // was freed, and the drained ring keeps only the one it fills next.
-  EXPECT_EQ(ring.MemoryBytes(), ring.segment_bytes());
-}
-
-TEST(MpmcRingTest, FirstPushRaceOnFreshTinyRings) {
-  // Each round races more producers than this host has cores on a fresh
-  // capacity-2 ring, whose 3-cell segments are passed and freed within a
-  // few pushes. A push that lost the first-segment install and then
-  // paired a later lap's index with the first segment would write into a
-  // freed segment and leave a consumer waiting on a cell never written.
-  constexpr int kProducers = 6;
-  constexpr int kConsumers = 2;
-  constexpr int64_t kPerProducer = 6;
-  constexpr int64_t kPerRound = kProducers * kPerProducer;
-  constexpr int kRounds = 1000;
-  std::unique_ptr<MpmcRing<int64_t>> ring;
-  std::vector<std::atomic<int>> seen(kPerRound);
-  std::atomic<int64_t> popped{0};
-  std::barrier round_start(kProducers + kConsumers + 1);
-  std::barrier round_end(kProducers + kConsumers + 1);
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int r = 0; r < kRounds; ++r) {
-        round_start.arrive_and_wait();
-        for (int64_t i = 0; i < kPerProducer; ++i) {
-          while (!ring->TryPush(p * kPerProducer + i)) {
-          }
-        }
-        round_end.arrive_and_wait();
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      for (int r = 0; r < kRounds; ++r) {
-        round_start.arrive_and_wait();
-        int64_t v;
-        while (popped.load() < kPerRound) {
-          if (ring->TryPop(&v)) {
-            seen[static_cast<size_t>(v)].fetch_add(1);
-            popped.fetch_add(1);
-          }
-        }
-        round_end.arrive_and_wait();
-      }
-    });
-  }
-  // Every thread runs every round, so a bad round is counted rather than
-  // asserted on (an early return would leave the others at the barrier).
-  int bad_rounds = 0;
-  for (int r = 0; r < kRounds; ++r) {
-    ring = std::make_unique<MpmcRing<int64_t>>(2);
-    popped.store(0);
-    for (auto& s : seen) s.store(0);
-    round_start.arrive_and_wait();
-    round_end.arrive_and_wait();
-    bool bad = ring->MemoryBytes() != ring->segment_bytes();
-    for (const auto& s : seen) bad = bad || s.load() != 1;
-    bad_rounds += bad ? 1 : 0;
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(ring->segment_capacity(), 3u);
-  EXPECT_EQ(bad_rounds, 0);
+TEST(SegmentedFifoDeathTest, UseFromASecondThreadAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the thread guard is a debug-build check";
+#else
+  // Nothing synchronises a FIFO: the first thread that pushes or pops owns
+  // it, and a second thread's use aborts instead of racing.
+  EXPECT_DEATH(
+      {
+        SegmentedFifo<int64_t> fifo(8);
+        fifo.TryPush(1);
+        std::thread([&fifo] { fifo.TryPush(2); }).join();
+      },
+      "ECLDB_CHECK failed");
+#endif
 }
 
 TEST(PartitionQueueTest, OwnershipProtocol) {
@@ -345,7 +183,7 @@ TEST(PartitionQueueTest, OwnershipProtocol) {
 TEST(PartitionQueueTest, BatchDequeueRespectsLimit) {
   PartitionQueue q(0, 64);
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.Enqueue(MakeMsg(0, i)));
-  EXPECT_EQ(q.SizeApprox(), 10u);
+  EXPECT_EQ(q.Size(), 10u);
   ASSERT_TRUE(q.TryAcquire(1));
   std::vector<Message> batch;
   EXPECT_EQ(q.DequeueBatch(1, 4, &batch), 4u);
@@ -353,7 +191,7 @@ TEST(PartitionQueueTest, BatchDequeueRespectsLimit) {
   EXPECT_EQ(batch[0].query_id, 0);
   EXPECT_EQ(batch[3].query_id, 3);
   EXPECT_EQ(q.DequeueBatch(1, 100, &batch), 6u);
-  EXPECT_TRUE(q.EmptyApprox());
+  EXPECT_TRUE(q.Empty());
   q.Release(1);
 }
 
@@ -383,8 +221,8 @@ TEST(IntraSocketRouterTest, RoutesToOwnedPartitions) {
   EXPECT_FALSE(router.Owns(3));
   EXPECT_FALSE(router.Owns(100));
   EXPECT_TRUE(router.Enqueue(MakeMsg(5)));
-  EXPECT_EQ(router.PendingApprox(), 1u);
-  EXPECT_EQ(router.queue(5)->SizeApprox(), 1u);
+  EXPECT_EQ(router.Pending(), 1u);
+  EXPECT_EQ(router.queue(5)->Size(), 1u);
 }
 
 TEST(IntraSocketRouterTest, RegisterDeregisterMovesQueueBetweenRouters) {
@@ -395,11 +233,11 @@ TEST(IntraSocketRouterTest, RegisterDeregisterMovesQueueBetweenRouters) {
   ASSERT_NE(moved, nullptr);
   EXPECT_FALSE(h0.router.Owns(1));
   EXPECT_TRUE(h0.router.Owns(0));  // remaining partition still reachable
-  EXPECT_EQ(h0.router.PendingApprox(), 0u);
+  EXPECT_EQ(h0.router.Pending(), 0u);
   r1.Register(1, moved);
   EXPECT_TRUE(r1.Owns(1));
   // The queued message travelled with the queue.
-  EXPECT_EQ(r1.queue(1)->SizeApprox(), 1u);
+  EXPECT_EQ(r1.queue(1)->Size(), 1u);
   size_t cursor = 0;
   PartitionQueue* q = r1.AcquireNonEmpty(3, &cursor);
   ASSERT_NE(q, nullptr);
@@ -454,10 +292,10 @@ TEST(CommEndpointTest, PumpsToRemoteRouter) {
   std::vector<IntraSocketRouter*> routers = {&h0.router, &h1.router};
   CommEndpoint comm0(0, 2, 64);
   EXPECT_TRUE(comm0.BufferOutbound(1, MakeMsg(1, 42)));
-  EXPECT_EQ(comm0.OutboundPendingApprox(), 1u);
+  EXPECT_EQ(comm0.OutboundPending(), 1u);
   EXPECT_EQ(comm0.Pump(routers, 16), 1u);
-  EXPECT_EQ(comm0.OutboundPendingApprox(), 0u);
-  EXPECT_EQ(h1.router.queue(1)->SizeApprox(), 1u);
+  EXPECT_EQ(comm0.OutboundPending(), 0u);
+  EXPECT_EQ(h1.router.queue(1)->Size(), 1u);
   EXPECT_EQ(comm0.transferred(), 1);
 }
 
@@ -472,14 +310,14 @@ TEST(CommEndpointTest, UndeliveredMessageKeepsItsPlace) {
   ASSERT_TRUE(comm0.BufferOutbound(1, MakeMsg(1, 10)));  // A
   ASSERT_TRUE(comm0.BufferOutbound(1, MakeMsg(1, 11)));  // B
   EXPECT_EQ(comm0.Pump(routers, 16), 0u);
-  EXPECT_EQ(comm0.OutboundPendingApprox(), 2u);  // A held, B buffered
+  EXPECT_EQ(comm0.OutboundPending(), 2u);  // A held, B buffered
   // Free the destination, then pump again: A arrives before B.
   std::vector<Message> out;
   ASSERT_TRUE(dest->TryAcquire(0));
   ASSERT_EQ(dest->DequeueBatch(0, 8, &out), 2u);
   dest->Release(0);
   EXPECT_EQ(comm0.Pump(routers, 16), 2u);
-  EXPECT_EQ(comm0.OutboundPendingApprox(), 0u);
+  EXPECT_EQ(comm0.OutboundPending(), 0u);
   out.clear();
   ASSERT_TRUE(dest->TryAcquire(0));
   ASSERT_EQ(dest->DequeueBatch(0, 8, &out), 2u);
@@ -496,26 +334,26 @@ TEST(CommEndpointTest, PumpBatchBounded) {
   CommEndpoint comm0(0, 2, 1024);
   for (int i = 0; i < 40; ++i) comm0.BufferOutbound(1, MakeMsg(1, i));
   EXPECT_EQ(comm0.Pump(routers, 16), 16u);
-  EXPECT_EQ(comm0.OutboundPendingApprox(), 24u);
+  EXPECT_EQ(comm0.OutboundPending(), 24u);
 }
 
 TEST(MessageLayerTest, LocalSendGoesDirect) {
   TestPlacement placement({0, 0, 1, 1});
   MessageLayer layer(2, &placement, MessageLayerParams{});
   EXPECT_TRUE(layer.Send(0, MakeMsg(1)));
-  EXPECT_EQ(layer.router(0)->PendingApprox(), 1u);
-  EXPECT_EQ(layer.comm(0)->OutboundPendingApprox(), 0u);
+  EXPECT_EQ(layer.router(0)->Pending(), 1u);
+  EXPECT_EQ(layer.comm(0)->OutboundPending(), 0u);
 }
 
 TEST(MessageLayerTest, RemoteSendBuffersThenPumps) {
   TestPlacement placement({0, 0, 1, 1});
   MessageLayer layer(2, &placement, MessageLayerParams{});
   EXPECT_TRUE(layer.Send(0, MakeMsg(3)));  // partition 3 homed on socket 1
-  EXPECT_EQ(layer.router(1)->PendingApprox(), 0u);
-  EXPECT_EQ(layer.comm(0)->OutboundPendingApprox(), 1u);
+  EXPECT_EQ(layer.router(1)->Pending(), 0u);
+  EXPECT_EQ(layer.comm(0)->OutboundPending(), 1u);
   EXPECT_EQ(layer.PumpComm(0), 1u);
-  EXPECT_EQ(layer.router(1)->PendingApprox(), 1u);
-  EXPECT_EQ(layer.PendingApprox(), 1u);
+  EXPECT_EQ(layer.router(1)->Pending(), 1u);
+  EXPECT_EQ(layer.Pending(), 1u);
 }
 
 TEST(MessageLayerTest, HomeMapRespected) {
@@ -570,10 +408,10 @@ TEST(MessageLayerTest, RehomeMovesQueueAndForwardsStaleArrivals) {
   // The in-flight message lands on socket 0, which no longer owns the
   // partition: it must be forwarded to the new home, not dropped.
   EXPECT_EQ(layer.PumpComm(1), 1u);  // socket1 -> socket0 transfer
-  EXPECT_EQ(layer.router(0)->PendingApprox(), 0u);
+  EXPECT_EQ(layer.router(0)->Pending(), 0u);
   EXPECT_EQ(layer.socket_stats(0).stale_forwards, 1);
   EXPECT_EQ(layer.PumpComm(0), 1u);  // forwarded hop arrives at socket 1
-  EXPECT_EQ(layer.router(1)->queue(0)->SizeApprox(), 2u);
+  EXPECT_EQ(layer.router(1)->queue(0)->Size(), 2u);
   EXPECT_EQ(layer.socket_stats(1).rehome_transfers, 1);
 }
 
@@ -600,21 +438,21 @@ TEST(MessageLayerTest, DoublyStaleArrivalForwardsTwice) {
   EXPECT_EQ(layer.PumpComm(0), 1u);
   EXPECT_EQ(layer.socket_stats(1).stale_forwards, 1);
   EXPECT_EQ(layer.PumpComm(1), 1u);
-  EXPECT_EQ(layer.router(2)->queue(0)->SizeApprox(), 1u);
-  EXPECT_EQ(layer.PendingApprox(), 1u);
+  EXPECT_EQ(layer.router(2)->queue(0)->Size(), 1u);
+  EXPECT_EQ(layer.Pending(), 1u);
 }
 
 TEST(MessageLayerTest, RingsAllocateOnFirstMessage) {
   TestPlacement placement({0, 0, 1, 1});
   MessageLayer layer(2, &placement, MessageLayerParams{});
   EXPECT_EQ(layer.MemoryBytes(), 0u);
-  EXPECT_EQ(layer.PendingApprox(), 0u);
+  EXPECT_EQ(layer.Pending(), 0u);
   EXPECT_EQ(layer.DrainAllQueues(), 0u);
   EXPECT_EQ(layer.MemoryBytes(), 0u);  // draining empty rings allocates none
   ASSERT_TRUE(layer.Send(0, MakeMsg(1)));
-  // One segment of the default 16,384-message ring: 63 cells of 64 B (a
-  // message and its two state bytes) plus the link, just under a page.
-  const size_t one_segment = kSegmentHeaderBytes + 63 * 64;
+  // One segment of the default 16,384-message FIFO: 73 cells of 56 B plus
+  // the link, exactly a page.
+  const size_t one_segment = kSegmentHeaderBytes + 73 * sizeof(Message);
   EXPECT_EQ(layer.partition_queue(1)->MemoryBytes(), one_segment);
   EXPECT_EQ(layer.MemoryBytes(), one_segment);
   ASSERT_TRUE(layer.Send(0, MakeMsg(3)));  // remote: only the outbox
@@ -634,9 +472,9 @@ TEST(MessageLayerTest, DrainDiscardsHeldOutboundMessage) {
   ASSERT_TRUE(layer.Send(1, MakeMsg(1, 2)));  // partition 1 full
   ASSERT_TRUE(layer.Send(0, MakeMsg(1, 3)));
   EXPECT_EQ(layer.PumpComm(0), 0u);  // undeliverable: held at socket 0
-  EXPECT_EQ(layer.PendingApprox(), 3u);
+  EXPECT_EQ(layer.Pending(), 3u);
   EXPECT_EQ(layer.DrainAllQueues(), 3u);
-  EXPECT_EQ(layer.PendingApprox(), 0u);
+  EXPECT_EQ(layer.Pending(), 0u);
 }
 
 TEST(MessageTest, TypeNames) {
