@@ -56,7 +56,7 @@ SloTraffic MakeTraffic(Arm arm) {
   // live while the standard tier is being refused — without it a fully
   // shed entrance starves the pressure signal of completions and the
   // controller can wedge on a stale window (the same reason
-  // shed_pressure_weight sits below every shed onset).
+  // kShedPressureWeight sits below every shed onset here).
   loadgen::TenantSpec keeper;
   keeper.name = "premium";
   keeper.slo_class = loadgen::SloClass::kPremium;

@@ -13,8 +13,7 @@ int main() {
       "tracking the deviation (switching highest <-> lowest configuration).");
   bench::MachineRig rig;
   ecl::MetaCalibration cal(&rig.simulator, &rig.machine, 0);
-  const ecl::MetaCalibrationResult result =
-      cal.Run(workload::ComputeBound(), ecl::MetaCalibrationParams{});
+  const ecl::MetaCalibrationResult result = cal.Run(workload::ComputeBound());
 
   std::printf("\n-- measure-time sweep (apply time at reference) --\n");
   TablePrinter mt({"measure ms", "deviation %"});

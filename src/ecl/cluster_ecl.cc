@@ -14,6 +14,19 @@ namespace ecldb::ecl {
 /// fault into an overload. Failed nodes themselves are never wake
 /// candidates until the fault schedule clears them.
 constexpr SimDuration kCrashRecoveryHold = Seconds(30);
+/// Consolidate across nodes only while every ON node's latency pressure is
+/// at or below this.
+constexpr double kConsolidatePressureMax = 0.15;
+/// Wake an off node at this pressure. Deliberately BELOW the in-box spread
+/// threshold (0.5): new capacity arrives a whole boot latency after the
+/// decision, so the wake must lead the pressure ramp instead of reacting
+/// to it — the boot-latency-aware half of the hysteresis.
+constexpr double kWakePressureMin = 0.35;
+/// At or above this pressure a wake fires regardless of dwell state.
+constexpr double kWakePressureHard = 0.9;
+/// Never power below this many nodes.
+constexpr int kMinNodesOn = 1;
+static_assert(kMinNodesOn >= 1);
 
 ClusterEcl::ClusterEcl(sim::Simulator* simulator,
                        engine::ClusterEngine* engine, LoadFn load,
@@ -38,7 +51,6 @@ ClusterEcl::ClusterEcl(sim::Simulator* simulator,
               params, trace_lane_, "cluster") {
   ECLDB_CHECK(simulator != nullptr && engine != nullptr);
   ECLDB_CHECK(pressure_ != nullptr);
-  ECLDB_CHECK(params_.min_nodes_on >= 1);
   if (telemetry::Telemetry* tel = params_.telemetry; tel != nullptr) {
     telemetry::MetricRegistry& reg = tel->registry();
     reg.AddCounterFn("cluster/ecl/ticks", [this] { return ticks_; });
@@ -85,11 +97,10 @@ void ClusterEcl::Tick() {
 
   if (!woke && engine_->active_migrations() == 0) {
     using Direction = PlacementPacker::Direction;
-    if (!packer_.Holds(Direction::kSpread) &&
-        pressure >= params_.wake_pressure_min) {
+    if (!packer_.Holds(Direction::kSpread) && pressure >= kWakePressureMin) {
       packer_.Spread();
     } else if (!packer_.Holds(Direction::kConsolidate) &&
-               pressure <= params_.consolidate_pressure_max) {
+               pressure <= kConsolidatePressureMax) {
       packer_.Consolidate();
     }
     // A drained node powers down whenever pressure sits below the spread
@@ -97,7 +108,7 @@ void ClusterEcl::Tick() {
     // gating on the tighter consolidation threshold would strand empty
     // nodes at full platform power once the receiver's pressure rises
     // past it.
-    if (pressure < params_.wake_pressure_min) MaybePowerDown();
+    if (pressure < kWakePressureMin) MaybePowerDown();
   }
   simulator_->ScheduleAfter(params_.interval, [this] { Tick(); });
 }
@@ -113,8 +124,8 @@ bool ClusterEcl::TryWake(double pressure) {
   for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
     if (!cluster.IsOn(n)) backlog += engine_->BacklogOps(n);
   }
-  const bool hard = pressure >= params_.wake_pressure_hard;
-  const bool wanted = hard || pressure >= params_.wake_pressure_min ||
+  const bool hard = pressure >= kWakePressureHard;
+  const bool wanted = hard || pressure >= kWakePressureMin ||
                       backlog >= params_.wake_backlog_ops;
   if (!wanted) return false;
   // A boot already in flight is the wake in progress; only hard pressure
@@ -150,7 +161,7 @@ bool ClusterEcl::TryWake(double pressure) {
 void ClusterEcl::MaybePowerDown() {
   hwsim::Cluster& cluster = engine_->cluster();
   engine::PlacementMap& placement = engine_->placement();
-  if (cluster.NodesOn() <= params_.min_nodes_on) return;
+  if (cluster.NodesOn() <= kMinNodesOn) return;
   // Crash recovery in progress: survivors are absorbing re-homed
   // partitions and retries; do not shrink capacity into that transient.
   if (cluster.last_crash_time() >= 0 &&

@@ -19,29 +19,19 @@ struct ClusterEclParams {
   /// node transitions cost tens of seconds, so the policy reacts at a
   /// matching timescale.
   SimDuration interval = Seconds(2);
-  /// Consolidate across nodes only while every ON node's latency
-  /// pressure is at or below this.
-  double consolidate_pressure_max = 0.15;
-  /// Only nodes at or below this relative load donate their partitions.
-  double donor_load_max = 0.45;
   /// Projected receiver load (its own plus the donor's) must stay below
-  /// this to consolidate.
+  /// this to consolidate (the packer's gate that
+  /// PlacementPackerTest.EachGateBlocksConsolidation varies).
   double target_load_ceiling = 0.6;
   /// Node-scope migrations started per tick (staged, like in-box
   /// consolidation, so receiving ECLs re-size between batches).
   int migrations_per_tick = 4;
   /// Spread migrations per tick once a woken node is serving-capable.
   int spread_migrations_per_tick = 8;
-  /// Wake an off node at this pressure. Deliberately BELOW the in-box
-  /// spread threshold (0.5): new capacity arrives a whole boot latency
-  /// after the decision, so the wake must lead the pressure ramp instead
-  /// of reacting to it — the boot-latency-aware half of the hysteresis.
-  double wake_pressure_min = 0.35;
-  /// At or above this pressure a wake fires regardless of dwell state.
-  double wake_pressure_hard = 0.9;
   /// Fluid backlog on any node that also triggers a wake (covers work
   /// shipped to a node that powered down before the pressure signal
-  /// reflects it).
+  /// reflects it). Varied by
+  /// ClusterEclTest.BacklogOnOffNodeTriggersWakeAndWorkCompletes.
   double wake_backlog_ops = 1e6;
   /// A node must have been ON at least this long before it may power
   /// down again — the other half of the hysteresis: a boot costs
@@ -51,8 +41,6 @@ struct ClusterEclParams {
   /// After any node-scope migration completes, hold placement reversals
   /// this long (same dwell rationale as the in-box policy, scaled up).
   SimDuration post_migration_hold = Seconds(30);
-  /// Never power below this many nodes.
-  int min_nodes_on = 1;
   /// Optional telemetry: tick/move counters plus instants for each
   /// power-down/wake decision on a "cluster/ecl" lane.
   telemetry::Telemetry* telemetry = nullptr;

@@ -6,6 +6,18 @@
 
 namespace ecldb::ecl {
 
+/// Consolidate only while latency pressure is at or below this.
+constexpr double kConsolidatePressureMax = 0.15;
+/// Spread partitions back as soon as pressure reaches this. Must sit above
+/// the pressure band of normal low-load operation (RTI batching alone
+/// produces window means of ~0.3-0.45x the limit) or the policy
+/// oscillates, yet far enough below 1.0 that capacity is restored before
+/// the limit is actually violated.
+constexpr double kSpreadPressureMin = 0.5;
+/// The post-migration hold does not gamble with the latency limit: at or
+/// above this pressure the policy spreads immediately regardless of dwell.
+constexpr double kSpreadPressureHard = 0.9;
+
 ConsolidationPolicy::ConsolidationPolicy(sim::Simulator* simulator,
                                          engine::Engine* engine,
                                          SystemEcl* system, LoadFn load,
@@ -57,12 +69,12 @@ void ConsolidationPolicy::Tick() {
     // The post-migration dwell holds reversals only; hard pressure (the
     // limit is genuinely threatened) spreads regardless of it.
     using Direction = PlacementPacker::Direction;
-    if (pressure >= params_.spread_pressure_hard ||
+    if (pressure >= kSpreadPressureHard ||
         (!packer_.Holds(Direction::kSpread) &&
-         pressure >= params_.spread_pressure_min)) {
+         pressure >= kSpreadPressureMin)) {
       packer_.Spread();
     } else if (!packer_.Holds(Direction::kConsolidate) &&
-               pressure <= params_.consolidate_pressure_max) {
+               pressure <= kConsolidatePressureMax) {
       packer_.Consolidate();
     }
   }

@@ -18,19 +18,10 @@ struct ConsolidationParams {
   bool enabled = false;
   /// Policy tick interval (system-level cadence).
   SimDuration interval = Seconds(1);
-  /// Consolidate only while latency pressure is at or below this.
-  double consolidate_pressure_max = 0.15;
-  /// Spread partitions back as soon as pressure reaches this. Must sit
-  /// above the pressure band of normal low-load operation (RTI batching
-  /// alone produces window means of ~0.3-0.45x the limit) or the policy
-  /// oscillates, yet far enough below 1.0 that capacity is restored
-  /// before the limit is actually violated.
-  double spread_pressure_min = 0.5;
   /// Projected relative load of the receiving socket (its load plus the
-  /// donor's) must stay below this to consolidate.
+  /// donor's) must stay below this to consolidate. Varied by
+  /// PlacementPackerTest.EachGateBlocksConsolidation.
   double target_load_ceiling = 0.6;
-  /// Only sockets at or below this relative load donate partitions.
-  double donor_load_max = 0.45;
   /// Migrations started per consolidation tick. Staged small on purpose:
   /// the receiver's reactive ECL re-sizes between batches, so absorbing
   /// the donor a few partitions at a time never spikes latency the way
@@ -50,9 +41,6 @@ struct ConsolidationParams {
   /// same direction is never dwell-gated — staged consolidation ships
   /// its next batch as soon as the previous one has landed.
   SimDuration post_migration_hold = Seconds(15);
-  /// The hold does not gamble with the latency limit: at or above this
-  /// pressure the policy spreads immediately regardless of dwell.
-  double spread_pressure_hard = 0.9;
   /// Optional telemetry context: move/tick counters and instants for each
   /// consolidate/spread batch on an "ecl/consolidation" lane.
   telemetry::Telemetry* telemetry = nullptr;

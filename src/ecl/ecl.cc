@@ -22,7 +22,8 @@ EnergyControlLoop::EnergyControlLoop(sim::Simulator* simulator,
 
   profile::ConfigGenerator generator(machine.topology(), machine.freqs());
   for (SocketId s = 0; s < machine.topology().num_sockets; ++s) {
-    profile::EnergyProfile profile(generator.Generate(params_.generator));
+    profile::EnergyProfile profile(
+        generator.Generate(profile::GeneratorParams{}));
     sockets_.push_back(std::make_unique<SocketEcl>(
         simulator_, &machine, s, std::move(profile), system_.get(),
         [this, s] { return engine_->TakeSocketUtilization(s); },

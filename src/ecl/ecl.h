@@ -17,7 +17,6 @@ namespace ecldb::ecl {
 struct EclParams {
   SocketEclParams socket;
   SystemEclParams system;
-  profile::GeneratorParams generator;
   /// Whole-socket consolidation through live partition migration
   /// (disabled by default; see ConsolidationPolicy).
   ConsolidationParams consolidation;

@@ -1,11 +1,24 @@
 #include "ecl/meta_calibration.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/check.h"
 
 namespace ecldb::ecl {
+
+/// Generous reference durations.
+constexpr SimDuration kReferenceApply = Millis(300);
+constexpr SimDuration kReferenceMeasure = Millis(300);
+/// Candidate durations tried, descending.
+constexpr std::array<SimDuration, 9> kCandidates = {
+    Millis(300), Millis(200), Millis(100), Millis(50), Millis(20),
+    Millis(10),  Millis(5),   Millis(2),   Millis(1)};
+/// Acceptable relative deviation from the reference measurement.
+constexpr double kTolerance = 0.03;
+/// Probes averaged per candidate.
+constexpr int kProbes = 4;
 
 MetaCalibration::MetaCalibration(sim::Simulator* simulator,
                                  hwsim::Machine* machine, SocketId socket)
@@ -33,8 +46,7 @@ double MetaCalibration::ProbePowerW(const hwsim::SocketConfig& cfg,
          ToSeconds(measure);
 }
 
-MetaCalibrationResult MetaCalibration::Run(const hwsim::WorkProfile& work,
-                                           const MetaCalibrationParams& params) {
+MetaCalibrationResult MetaCalibration::Run(const hwsim::WorkProfile& work) {
   const hwsim::Topology& topo = machine_->topology();
   const hwsim::FrequencyTable& freqs = machine_->freqs();
   const hwsim::SocketConfig highest = hwsim::SocketConfig::AllOn(
@@ -48,40 +60,39 @@ MetaCalibrationResult MetaCalibration::Run(const hwsim::WorkProfile& work,
   // configuration dominates the deviation (its absolute power is small),
   // so deviations are tracked on it.
   double ref_low = 0.0;
-  for (int p = 0; p < params.probes; ++p) {
-    ProbePowerW(highest, work, params.reference_apply, params.reference_measure);
-    ref_low += ProbePowerW(lowest, work, params.reference_apply,
-                           params.reference_measure);
+  for (int p = 0; p < kProbes; ++p) {
+    ProbePowerW(highest, work, kReferenceApply, kReferenceMeasure);
+    ref_low += ProbePowerW(lowest, work, kReferenceApply, kReferenceMeasure);
   }
-  ref_low /= params.probes;
+  ref_low /= kProbes;
   ECLDB_CHECK(ref_low > 0.0);
 
   // Sweep the measure time (apply time stays at the reference).
-  result.measure_time = params.reference_measure;
-  for (SimDuration cand : params.candidates) {
+  result.measure_time = kReferenceMeasure;
+  for (SimDuration cand : kCandidates) {
     double dev = 0.0;
-    for (int p = 0; p < params.probes; ++p) {
-      ProbePowerW(highest, work, params.reference_apply, cand);
-      const double low = ProbePowerW(lowest, work, params.reference_apply, cand);
+    for (int p = 0; p < kProbes; ++p) {
+      ProbePowerW(highest, work, kReferenceApply, cand);
+      const double low = ProbePowerW(lowest, work, kReferenceApply, cand);
       dev += std::abs(low - ref_low) / ref_low;
     }
-    dev /= params.probes;
+    dev /= kProbes;
     result.measure_sweep.push_back({cand, dev});
-    if (dev <= params.tolerance) result.measure_time = cand;
+    if (dev <= kTolerance) result.measure_time = cand;
   }
 
   // Sweep the apply time using the chosen measure time.
-  result.apply_time = params.reference_apply;
-  for (SimDuration cand : params.candidates) {
+  result.apply_time = kReferenceApply;
+  for (SimDuration cand : kCandidates) {
     double dev = 0.0;
-    for (int p = 0; p < params.probes; ++p) {
+    for (int p = 0; p < kProbes; ++p) {
       ProbePowerW(highest, work, cand, result.measure_time);
       const double low = ProbePowerW(lowest, work, cand, result.measure_time);
       dev += std::abs(low - ref_low) / ref_low;
     }
-    dev /= params.probes;
+    dev /= kProbes;
     result.apply_sweep.push_back({cand, dev});
-    if (dev <= params.tolerance) result.apply_time = cand;
+    if (dev <= kTolerance) result.apply_time = cand;
   }
   return result;
 }

@@ -11,20 +11,6 @@
 
 namespace ecldb::ecl {
 
-struct MetaCalibrationParams {
-  /// Generous reference durations.
-  SimDuration reference_apply = Millis(300);
-  SimDuration reference_measure = Millis(300);
-  /// Candidate durations tried, descending.
-  std::vector<SimDuration> candidates = {Millis(300), Millis(200), Millis(100),
-                                         Millis(50),  Millis(20),  Millis(10),
-                                         Millis(5),   Millis(2),   Millis(1)};
-  /// Acceptable relative deviation from the reference measurement.
-  double tolerance = 0.03;
-  /// Probes averaged per candidate.
-  int probes = 4;
-};
-
 /// Result of one calibration sweep step.
 struct CalibrationPoint {
   SimDuration duration = 0;
@@ -53,8 +39,7 @@ class MetaCalibration {
 
   /// Runs the calibration under the given synthetic workload; consumes
   /// virtual time on the simulator.
-  MetaCalibrationResult Run(const hwsim::WorkProfile& work,
-                            const MetaCalibrationParams& params);
+  MetaCalibrationResult Run(const hwsim::WorkProfile& work);
 
  private:
   /// One probe: apply `cfg`, wait `apply`, measure power over `measure`.

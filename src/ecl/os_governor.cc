@@ -7,6 +7,9 @@
 
 namespace ecldb::ecl {
 
+/// Utilization above which the governor jumps to the maximum frequency.
+constexpr double kUpThreshold = 0.80;
+
 OsGovernor::OsGovernor(sim::Simulator* simulator, engine::Engine* engine,
                        const OsGovernorParams& params)
     : simulator_(simulator), engine_(engine), params_(params) {
@@ -52,11 +55,11 @@ void OsGovernor::Tick() {
 
   const hwsim::FrequencyTable& freqs = machine.freqs();
   double target;
-  if (util >= params_.up_threshold) {
+  if (util >= kUpThreshold) {
     target = freqs.max_core();  // ondemand: jump straight to the maximum
   } else {
     target = std::max(freqs.min_core(),
-                      freqs.max_core_nominal() * util / params_.up_threshold);
+                      freqs.max_core_nominal() * util / kUpThreshold);
   }
   Apply(freqs.NearestCore(target));
   simulator_->ScheduleAfter(params_.interval, [this] { Tick(); });

@@ -11,8 +11,6 @@ namespace ecldb::ecl {
 struct OsGovernorParams {
   /// Sampling interval (Linux ondemand default order of magnitude).
   SimDuration interval = Millis(100);
-  /// Utilization above which the governor jumps to the maximum frequency.
-  double up_threshold = 0.80;
   /// The OS measures utilization as C0 (non-idle) residency. A
   /// data-oriented DBMS polls its message queues, so its threads never
   /// block: the OS sees 100 % utilization no matter the query load

@@ -5,6 +5,10 @@
 
 namespace ecldb::ecl {
 
+/// Only units at or below this relative load donate their partitions (the
+/// same bound for the sockets of a box and the nodes of a rack).
+constexpr double kDonorLoadMax = 0.45;
+
 void PlacementPacker::ObserveMigrations() {
   const int64_t done = callbacks_.completed_migrations();
   if (done != last_completed_seen_) {
@@ -54,7 +58,7 @@ void PlacementPacker::Consolidate() {
       receiver_load = load;
     }
   }
-  if (donor_load > donor_load_max_) return;
+  if (donor_load > kDonorLoadMax) return;
   if (receiver_load + donor_load > target_load_ceiling_) return;
 
   MoveBatch(placement.PartitionsOf(donor), migrations_per_tick_, donor,

@@ -48,7 +48,6 @@ class PlacementPacker {
       : simulator_(simulator),
         placement_(placement),
         callbacks_(std::move(callbacks)),
-        donor_load_max_(params.donor_load_max),
         target_load_ceiling_(params.target_load_ceiling),
         migrations_per_tick_(params.migrations_per_tick),
         spread_migrations_per_tick_(params.spread_migrations_per_tick),
@@ -84,7 +83,6 @@ class PlacementPacker {
   sim::Simulator* simulator_;
   engine::PlacementMap* placement_;
   Callbacks callbacks_;
-  double donor_load_max_;
   double target_load_ceiling_;
   int migrations_per_tick_;
   int spread_migrations_per_tick_;

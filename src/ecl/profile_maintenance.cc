@@ -5,6 +5,11 @@
 
 namespace ecldb::ecl {
 
+/// Relative deviation between a fresh online measurement and the stored
+/// configuration data that indicates a workload change (drift) and
+/// triggers multiplexed reevaluation of the whole profile.
+constexpr double kDriftThreshold = 0.20;
+
 ProfileMaintenance::OnlineOutcome ProfileMaintenance::RecordOnline(
     profile::EnergyProfile* profile, int index, double power_w,
     double perf_score, SimTime now) {
@@ -26,7 +31,7 @@ ProfileMaintenance::OnlineOutcome ProfileMaintenance::RecordOnline(
       perf_score > 0.0) {
     const double power_dev = std::abs(power_w - c.power_w) / c.power_w;
     const double perf_dev = std::abs(perf_score - c.perf_score) / c.perf_score;
-    if (std::max(power_dev, perf_dev) > params_.drift_threshold) {
+    if (std::max(power_dev, perf_dev) > kDriftThreshold) {
       outcome.drift_detected = true;
     }
   }

@@ -13,14 +13,11 @@ namespace ecldb::ecl {
 struct ProfileMaintenanceParams {
   bool enable_online = true;
   bool enable_multiplexed = true;
-  /// Relative deviation between a fresh online measurement and the stored
-  /// configuration data that indicates a workload change (drift) and
-  /// triggers multiplexed reevaluation of the whole profile.
-  double drift_threshold = 0.20;
-  /// Measurements older than this are considered stale.
+  /// Measurements older than this are considered stale. Varied by
+  /// ProfileMaintenanceTest.PicksStaleForReevaluation.
   SimDuration stale_age = Seconds(120);
   /// Stale configurations reevaluated per ECL interval while multiplexed
-  /// adaptation is active.
+  /// adaptation is active. Varied by the same test.
   int evals_per_interval = 6;
 };
 

@@ -10,11 +10,19 @@
 
 namespace ecldb::ecl {
 
+/// Neighbors consulted per prediction (distance-weighted kNN).
+constexpr int kNeighbors = 3;
+static_assert(kNeighbors >= 1);
+/// Mean neighbor distance at which distance ignorance saturates to 1.
+constexpr double kDistanceScale = 0.25;
+/// Additional ignorance per missing neighbor (fraction of kNeighbors).
+constexpr double kCountPenalty = 0.05;
+
 ProfilePredictor::ProfilePredictor(int num_configs,
                                    const ProfilePredictorParams& params)
     : params_(params), num_configs_(num_configs) {
   ECLDB_CHECK(num_configs >= 1);
-  ECLDB_CHECK(params.k >= 1 && params.max_entries_per_config >= 1);
+  ECLDB_CHECK(params.max_entries_per_config >= 1);
   cache_.resize(static_cast<size_t>(num_configs));
 }
 
@@ -24,7 +32,7 @@ void ProfilePredictor::Observe(int config_index,
   if (!features.valid || config_index <= 0 || config_index >= num_configs_) {
     return;
   }
-  if (features.v[2] < params_.min_utilization) return;
+  if (features.v[2] < kMinUtilization) return;
   std::vector<Observation>& bucket = cache_[static_cast<size_t>(config_index)];
 
   // Merge: a near-duplicate feature point carries the *newest* truth for
@@ -74,7 +82,7 @@ ProfilePredictor::Prediction ProfilePredictor::Predict(
     dist.emplace_back(FeatureDistance(bucket[i].features, features), i);
   }
   std::sort(dist.begin(), dist.end());
-  const size_t k = std::min(dist.size(), static_cast<size_t>(params_.k));
+  const size_t k = std::min(dist.size(), static_cast<size_t>(kNeighbors));
 
   double wsum = 0.0, power = 0.0, perf = 0.0, dsum = 0.0;
   for (size_t i = 0; i < k; ++i) {
@@ -97,11 +105,10 @@ ProfilePredictor::Prediction ProfilePredictor::Predict(
   // neighbor far) stays ignorant.
   const double mean_d = dsum / wsum;
   const double missing =
-      static_cast<double>(params_.k - static_cast<int>(k)) /
-      static_cast<double>(params_.k);
-  p.ignorance = std::clamp(
-      mean_d / params_.distance_scale + params_.count_penalty * missing, 0.0,
-      1.0);
+      static_cast<double>(kNeighbors - static_cast<int>(k)) /
+      static_cast<double>(kNeighbors);
+  p.ignorance = std::clamp(mean_d / kDistanceScale + kCountPenalty * missing,
+                           0.0, 1.0);
   return p;
 }
 

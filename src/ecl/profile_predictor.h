@@ -11,30 +11,27 @@
 
 namespace ecldb::ecl {
 
+/// Seed a configuration from its prediction only when the ignorance is at
+/// or below this; above it the configuration stays stale and the
+/// multiplexed evaluator measures it for real.
+inline constexpr double kIgnoranceThreshold = 0.15;
+/// Feature snapshots from intervals below this utilization are discarded
+/// (idle intervals do not describe the workload).
+inline constexpr double kMinUtilization = 0.05;
+
 struct ProfilePredictorParams {
   /// Master switch. Off by default: every paper figure runs the paper's
   /// exhaustive multiplexed rediscovery unchanged.
   bool enabled = false;
-  /// Neighbors consulted per prediction (distance-weighted kNN).
-  int k = 3;
   /// Learn-cache bound per configuration; the oldest observation is
-  /// evicted when a configuration's bucket is full.
+  /// evicted when a configuration's bucket is full. Varied by
+  /// ProfilePredictorTest.EvictsOldestWhenBucketFull.
   int max_entries_per_config = 8;
   /// An observation closer than this to an existing one replaces it
   /// instead of growing the bucket (the cache tracks the newest
-  /// measurement per feature neighborhood, AQO-style).
+  /// measurement per feature neighborhood, AQO-style). Varied by the same
+  /// test.
   double merge_radius = 0.03;
-  /// Seed a configuration from its prediction only when the ignorance is
-  /// at or below this; above it the configuration stays stale and the
-  /// multiplexed evaluator measures it for real.
-  double ignorance_threshold = 0.15;
-  /// Mean neighbor distance at which distance ignorance saturates to 1.
-  double distance_scale = 0.25;
-  /// Additional ignorance per missing neighbor (fraction of k).
-  double count_penalty = 0.05;
-  /// Feature snapshots from intervals below this utilization are
-  /// discarded (idle intervals do not describe the workload).
-  double min_utilization = 0.05;
 };
 
 /// Online learned model of (work-profile features, configuration) ->
@@ -78,7 +75,6 @@ class ProfilePredictor {
                      const profile::FeatureVector& features) const;
 
   int num_configs() const { return num_configs_; }
-  const ProfilePredictorParams& params() const { return params_; }
   /// Total observations currently cached.
   int64_t size() const { return size_; }
   /// Observations of one configuration, oldest-insertion first.

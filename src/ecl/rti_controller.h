@@ -7,18 +7,9 @@
 namespace ecldb::ecl {
 
 struct RtiControllerParams {
-  bool enabled = true;
   /// Maximum RTI cycles per socket-level ECL interval (the paper uses up
-  /// to 50 cycles per 1 s interval).
+  /// to 50 cycles per 1 s interval; fig11_socket_ecl_trace varies it).
   int max_cycles_per_interval = 50;
-  /// Minimum cycles when RTI is active.
-  int min_cycles_per_interval = 10;
-  /// Above this duty there is no point in switching (residency in idle
-  /// would be negligible).
-  double max_duty = 0.95;
-  /// Latency pressure at or above which RTI is disabled entirely (idle
-  /// residency hurts response times).
-  double disable_pressure = 0.7;
 };
 
 /// The paper's race-to-idle controller (Section 5.1): in the
@@ -48,8 +39,6 @@ class RtiController {
   /// `selected_index` is the utilization controller's configuration pick.
   Plan MakePlan(double demand, int selected_index,
                 const profile::EnergyProfile& profile, double pressure) const;
-
-  const RtiControllerParams& params() const { return params_; }
 
  private:
   RtiControllerParams params_;

@@ -10,6 +10,8 @@ namespace ecldb::ecl {
 
 /// Fraction of an interval that may be spent on multiplexed reevaluation.
 constexpr double kMaxEvalFraction = 0.75;
+/// Settle time after applying a configuration before measuring.
+constexpr SimDuration kApplySettle = Millis(1);
 
 SocketEcl::SocketEcl(sim::Simulator* simulator, hwsim::Machine* machine,
                      SocketId socket, profile::EnergyProfile profile,
@@ -114,8 +116,7 @@ void SocketEcl::RunPendingSeed(SimTime now) {
   pending_seed_ = false;
   record_hook_muted_ = true;
   const ProfileMaintenance::SeedOutcome out = maintenance_.SeedFromPredictions(
-      &profile_, *predictor_, last_features_,
-      params_.predictor.ignorance_threshold, now);
+      &profile_, *predictor_, last_features_, kIgnoranceThreshold, now);
   record_hook_muted_ = false;
   if (params_.telemetry != nullptr && (out.seeded > 0 || out.left_stale > 0)) {
     params_.telemetry->trace().Instant(
@@ -141,13 +142,13 @@ void SocketEcl::ScheduleEvaluation(SimTime at, int index, int64_t gen) {
   // Shared measurement state per evaluation, captured by both events.
   auto e0 = std::make_shared<uint64_t>(0);
   auto i0 = std::make_shared<uint64_t>(0);
-  simulator_->Schedule(at + params_.apply_settle, [this, e0, i0, gen] {
+  simulator_->Schedule(at + kApplySettle, [this, e0, i0, gen] {
     if (gen != generation_) return;
     *e0 = ReadSocketEnergyUj();
     *i0 = machine_->ReadSocketInstructions(socket_);
   });
   simulator_->Schedule(
-      at + params_.apply_settle + params_.measure_time,
+      at + kApplySettle + params_.measure_time,
       [this, e0, i0, index, gen] {
         if (gen != generation_) return;
         const double seconds = ToSeconds(params_.measure_time);
@@ -283,7 +284,7 @@ void SocketEcl::Tick() {
     fin.rti_duty = last_plan_.use_rti ? last_plan_.duty : 1.0;
     fin.utilization = utilization;
     const profile::FeatureVector features = profile::ExtractFeatures(fin);
-    if (features.valid && features.v[2] >= params_.predictor.min_utilization) {
+    if (features.valid && features.v[2] >= kMinUtilization) {
       last_features_ = features;
     }
   }
@@ -400,7 +401,7 @@ void SocketEcl::Tick() {
 
   // ---- Multiplexed adaptation ---------------------------------------------
   std::vector<int> evals = maintenance_.PickForReevaluation(profile_, now);
-  const SimDuration eval_each = params_.apply_settle + params_.measure_time;
+  const SimDuration eval_each = kApplySettle + params_.measure_time;
   const SimDuration eval_budget = static_cast<SimDuration>(
       kMaxEvalFraction * static_cast<double>(params_.interval));
   while (!evals.empty() &&

@@ -35,8 +35,6 @@ struct SocketEclParams {
   /// Counter measurement window for profile (re)evaluation; found by the
   /// meta calibration (paper Fig. 12: 100 ms).
   SimDuration measure_time = Millis(100);
-  /// Settle time after applying a configuration before measuring (1 ms).
-  SimDuration apply_settle = Millis(1);
   /// Excludes the idle-polling instructions of workless active threads
   /// from the measured performance level. The paper's currency counts all
   /// instructions retired, so a consolidated receiver socket running many

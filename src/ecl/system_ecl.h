@@ -15,19 +15,8 @@ struct SystemEclParams {
   /// The user-defined query latency limit (soft constraint).
   double latency_limit_ms = 100.0;
   /// Estimated times-until-violation below this horizon raise pressure
-  /// towards 1.
+  /// towards 1. Varied by SystemEclTest.RisingTrendRaisesPressure.
   double pressure_horizon_s = 3.0;
-  /// Latency proximity (mean/limit) above which pressure starts rising
-  /// even without a positive trend.
-  double proximity_onset = 0.7;
-  /// Floor on pressure contributed by the admission controller's recent
-  /// shed fraction (pressure >= weight * shed_fraction). Shed queries are
-  /// demand the latency window never sees: without this term, shedding
-  /// that keeps latency healthy would read as "system relaxed" and let the
-  /// ECL widen idling while the entrance is refusing work. Kept below the
-  /// best-effort shed onset so the feedback loop converges (a fully-shed
-  /// best-effort tier alone cannot re-trigger more shedding).
-  double shed_pressure_weight = 0.4;
 };
 
 /// The system-level ECL (paper Section 5.2): monitors the average query

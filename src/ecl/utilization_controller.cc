@@ -4,6 +4,15 @@
 
 namespace ecldb::ecl {
 
+/// Utilization at or above which the controller considers the socket
+/// fully utilized (the true demand is then unobservable).
+constexpr double kFullThreshold = 0.95;
+/// Base factor of the exponential discovery strategy at full utilization.
+constexpr double kDiscoveryFactor = 2.0;
+/// Additional aggressiveness at maximum latency pressure: the factor
+/// grows to kDiscoveryFactor * (1 + kPressureBoost * pressure).
+constexpr double kPressureBoost = 3.0;
+
 double UtilizationController::Update(double utilization, double measured_rate,
                                      double current_level, double pressure,
                                      const profile::EnergyProfile& profile) const {
@@ -24,9 +33,8 @@ double UtilizationController::Update(double utilization, double measured_rate,
   floor_level *= 0.05;
 
   double demand;
-  if (utilization >= params_.full_threshold) {
-    const double factor =
-        params_.discovery_factor * (1.0 + params_.pressure_boost * pressure);
+  if (utilization >= kFullThreshold) {
+    const double factor = kDiscoveryFactor * (1.0 + kPressureBoost * pressure);
     const double base =
         std::max({current_level, measured_rate, floor_level});
     demand = base * factor;

@@ -6,20 +6,14 @@
 namespace ecldb::ecl {
 
 struct UtilizationControllerParams {
-  /// Utilization at or above which the controller considers the socket
-  /// fully utilized (the true demand is then unobservable).
-  double full_threshold = 0.95;
-  /// Base factor of the exponential discovery strategy at full
-  /// utilization.
-  double discovery_factor = 2.0;
-  /// Additional aggressiveness at maximum latency pressure: the factor
-  /// grows to discovery_factor * (1 + pressure_boost * pressure).
-  double pressure_boost = 3.0;
   /// Headroom multiplied onto the observed demand so transient bursts do
-  /// not immediately build backlog.
+  /// not immediately build backlog. Varied by
+  /// UtilizationControllerTest.{Equation3BelowFullUtilization,
+  /// HeadroomPadsDemand, DampedDecrease}.
   double headroom = 1.25;
   /// Largest per-tick reduction of the performance level (0.5 = at most
-  /// halve), damping down-up oscillation of the reactive loop.
+  /// halve), damping down-up oscillation of the reactive loop. Varied by
+  /// the same tests.
   double max_decrease = 0.5;
 };
 
@@ -49,8 +43,6 @@ class UtilizationController {
   /// in [0,1] comes from the system-level ECL.
   double Update(double utilization, double measured_rate, double current_level,
                 double pressure, const profile::EnergyProfile& profile) const;
-
-  const UtilizationControllerParams& params() const { return params_; }
 
  private:
   UtilizationControllerParams params_;

@@ -30,7 +30,8 @@ struct ClusterEngineParams {
   /// FailReason::kForwardCap instead of hopping again — a livelock guard
   /// for routing under concurrent migrations (each hop re-resolves the
   /// current placement, so in practice chains are short; the cap bounds
-  /// the pathological case without dropping work silently).
+  /// the pathological case without dropping work silently). Varied by
+  /// ClusterEngineTest.ForwardHopCapFailsTypedInsteadOfLivelock.
   int max_forward_hops = 16;
   telemetry::Telemetry* telemetry = nullptr;
 };

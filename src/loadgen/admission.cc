@@ -7,6 +7,10 @@
 
 namespace ecldb::loadgen {
 
+/// Horizon of the recent-shed-fraction window the ECL feedback reads.
+constexpr SimDuration kShedWindow = Seconds(3);
+static_assert(kShedWindow >= Seconds(1));
+
 TokenBucket::TokenBucket(double rate_qps, double burst)
     : rate_qps_(rate_qps),
       burst_(burst > 0.0 ? burst : rate_qps),
@@ -48,7 +52,6 @@ AdmissionController::AdmissionController(const AdmissionParams& params)
   for (const ClassAdmissionParams& c : params_.classes) {
     ECLDB_CHECK(c.shed_full > c.shed_onset);
   }
-  ECLDB_CHECK(params_.shed_window >= Seconds(1));
   if (telemetry::Telemetry* tel = params_.telemetry; tel != nullptr) {
     for (int i = 0; i < kNumSloClasses; ++i) {
       const std::string cls(SloClassName(static_cast<SloClass>(i)));
@@ -112,7 +115,7 @@ void AdmissionController::RecordDecision(SimTime now, bool admitted_decision) {
 }
 
 void AdmissionController::PruneWindow(SimTime now) const {
-  const SimTime horizon = now - params_.shed_window;
+  const SimTime horizon = now - kShedWindow;
   while (!window_.empty() && window_.front().start + Seconds(1) <= horizon) {
     window_.pop_front();
   }
@@ -136,7 +139,7 @@ double AdmissionController::RecentShedQps(SimTime now) const {
   PruneWindow(now);
   int64_t shed_total = 0;
   for (const WindowBucket& b : window_) shed_total += b.shed;
-  return static_cast<double>(shed_total) / ToSeconds(params_.shed_window);
+  return static_cast<double>(shed_total) / ToSeconds(kShedWindow);
 }
 
 void AdmissionController::ResetRunStats() {

@@ -54,8 +54,6 @@ struct AdmissionParams {
       ClassAdmissionParams{0.0, 0.0, 0.70, 0.95},
       ClassAdmissionParams{0.0, 0.0, 0.45, 0.75},
   };
-  /// Horizon of the recent-shed-fraction window the ECL feedback reads.
-  SimDuration shed_window = Seconds(3);
   /// Optional telemetry: admission/{admitted,shed} totals, per-class
   /// admission/<class>/{admitted,shed} counters, and the
   /// admission/shed_fraction gauge. Registered only by loadgen runs.

@@ -15,6 +15,9 @@
 namespace ecldb::msg {
 
 struct MessageLayerParams {
+  /// Queue bounds. Varied by
+  /// SchedulerBackpressureTest.RejectionsCountedAndSpillDrains (partition
+  /// queues) and SchedulerStressTest.QueueOverflowSpillsAndRecovers (both).
   size_t partition_queue_capacity = 1 << 14;
   size_t comm_channel_capacity = 1 << 14;
   /// Optional telemetry context. When set, the layer's backpressure and

@@ -398,7 +398,8 @@ TEST_F(ClusterEclTest, ConsolidatesAndPowersDownAtLowPressure) {
   const PlacementMap& placement = engine_->placement();
   EXPECT_EQ(placement.PartitionsOn(0) + placement.PartitionsOn(1), 8);
   EXPECT_TRUE(placement.PartitionsOn(0) == 0 || placement.PartitionsOn(1) == 0);
-  // min_nodes_on keeps the last node up no matter how idle.
+  // The one-node floor (kMinNodesOn) keeps the last node up no matter how
+  // idle.
   sim_.RunFor(Seconds(10));
   EXPECT_EQ(cluster_->NodesOn(), 1);
   EXPECT_EQ(ecl_->power_downs(), 1);

@@ -84,7 +84,7 @@ TEST(ProfilePredictorTest, PredictsObservedPointExactly) {
   EXPECT_DOUBLE_EQ(p.power_w, 80.0);
   EXPECT_DOUBLE_EQ(p.perf_score, 2.5e9);
   // Exact hit, but a thin neighborhood (1 of k=3) keeps some ignorance.
-  EXPECT_LT(p.ignorance, params.ignorance_threshold);
+  EXPECT_LT(p.ignorance, kIgnoranceThreshold);
   EXPECT_GT(p.ignorance, 0.0);
 }
 
@@ -103,7 +103,7 @@ TEST(ProfilePredictorTest, IgnoranceReflectsEvidence) {
   const double extrapolating =
       pred.Predict(3, Feat(30e9, 0.1e9, 4, 2.6)).ignorance;
   EXPECT_LT(confident, extrapolating);
-  EXPECT_LE(confident, params.ignorance_threshold);
+  EXPECT_LE(confident, kIgnoranceThreshold);
   // Another configuration's bucket is still empty.
   EXPECT_DOUBLE_EQ(pred.Predict(4, near).ignorance, 1.0);
 }
@@ -202,7 +202,7 @@ TEST(SeedFromPredictionsTest, SeedsConfidentConfigsAndSkipsUnknown) {
   profile.InvalidateAll();
   ProfileMaintenance maint{ProfileMaintenanceParams{}};
   const ProfileMaintenance::SeedOutcome out = maint.SeedFromPredictions(
-      &profile, pred, f, pp.ignorance_threshold, Seconds(100));
+      &profile, pred, f, kIgnoranceThreshold, Seconds(100));
   EXPECT_EQ(out.seeded, untrained_from - 1);
   EXPECT_EQ(out.left_stale, 10);
   EXPECT_EQ(maint.predictor_seeded_configs(), untrained_from - 1);
@@ -226,7 +226,7 @@ TEST(SeedFromPredictionsTest, NoOpOnInvalidFeatures) {
   profile.InvalidateAll();
   ProfileMaintenance maint{ProfileMaintenanceParams{}};
   const ProfileMaintenance::SeedOutcome out = maint.SeedFromPredictions(
-      &profile, pred, profile::FeatureVector{}, pp.ignorance_threshold,
+      &profile, pred, profile::FeatureVector{}, kIgnoranceThreshold,
       Seconds(1));
   EXPECT_EQ(out.seeded, 0);
   EXPECT_EQ(out.left_stale, 0);

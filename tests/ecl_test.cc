@@ -130,7 +130,7 @@ TEST(RtiControllerTest, HighDutySkipsSwitching) {
   RtiController c((RtiControllerParams()));
   const auto profile = MeasuredProfile();
   const auto plan = c.MakePlan(19.5, profile.FindForDemand(19.5), profile, 0.0);
-  EXPECT_FALSE(plan.use_rti);  // duty would be 0.975 > max_duty
+  EXPECT_FALSE(plan.use_rti);  // duty would be 0.975 > kMaxDuty (0.95)
   EXPECT_EQ(plan.config_index, 2);
 }
 
@@ -148,14 +148,6 @@ TEST(RtiControllerTest, PressureRaisesSwitchingFrequency) {
   const auto tense = c.MakePlan(10.0, 2, profile, 0.6);
   EXPECT_GT(tense.cycles, calm.cycles);
   EXPECT_LE(tense.cycles, RtiControllerParams().max_cycles_per_interval);
-}
-
-TEST(RtiControllerTest, DisabledByParams) {
-  RtiControllerParams p;
-  p.enabled = false;
-  RtiController c(p);
-  const auto profile = MeasuredProfile();
-  EXPECT_FALSE(c.MakePlan(5.0, 2, profile, 0.0).use_rti);
 }
 
 TEST(ProfileMaintenanceTest, OnlineRecordsAndDetectsDrift) {
@@ -255,16 +247,46 @@ TEST(SystemEclTest, LowFlatLatencyRelaxed) {
   EXPECT_GT(ecl.time_to_violation_s(), 100.0);
 }
 
+TEST(SystemEclTest, FlatLatencyNearTheLimitRaisesPressure) {
+  // No trend, but the mean sits at 0.85 of the limit: proximity pressure
+  // rises linearly from the 0.7 onset, (0.85 - 0.7) / (1 - 0.7) = 0.5.
+  sim::Simulator sim;
+  engine::LatencyTracker latency(Seconds(5));
+  SystemEcl ecl(&sim, &latency, SystemEclParams{});
+  for (int i = 0; i < 10; ++i) {
+    latency.RecordCompletion(Millis(100 * i), Millis(100 * i + 85));
+  }
+  ecl.Update();
+  EXPECT_NEAR(ecl.pressure(), 0.5, 1e-9);
+  EXPECT_GT(ecl.time_to_violation_s(), 100.0);
+}
+
+TEST(SystemEclTest, ShedSignalFloorsPressureInEveryBranch) {
+  // A fully shed entrance floors pressure at the 0.4 shed weight whatever
+  // the latency window says; a violation still reads 1.
+  sim::Simulator sim;
+  engine::LatencyTracker latency(Seconds(5));
+  SystemEcl ecl(&sim, &latency, SystemEclParams{});
+  ecl.SetShedSignal([] { return 1.0; });
+  ecl.Update();  // empty window
+  EXPECT_DOUBLE_EQ(ecl.pressure(), 0.4);
+  for (int i = 0; i < 10; ++i) {
+    latency.RecordCompletion(Millis(100 * i), Millis(100 * i + 20));
+  }
+  ecl.Update();  // flat 20 ms: no trend or proximity pressure
+  EXPECT_DOUBLE_EQ(ecl.pressure(), 0.4);
+  latency.RecordCompletion(Millis(1000), Millis(2500));  // mean > limit
+  ecl.Update();
+  EXPECT_DOUBLE_EQ(ecl.pressure(), 1.0);
+}
+
 TEST(MetaCalibrationTest, FindsPaperLikeTimes) {
   // Fig. 12: applying a configuration is accurate even at 1 ms; measuring
   // needs ~100 ms; shorter windows deviate increasingly.
   sim::Simulator sim;
   hwsim::Machine machine(&sim, hwsim::MachineParams::HaswellEp());
   MetaCalibration cal(&sim, &machine, 0);
-  MetaCalibrationParams params;
-  params.probes = 2;
-  const MetaCalibrationResult result =
-      cal.Run(workload::ComputeBound(), params);
+  const MetaCalibrationResult result = cal.Run(workload::ComputeBound());
   EXPECT_LE(result.apply_time, Millis(2));
   EXPECT_LE(result.measure_time, Millis(100));
   EXPECT_GE(result.measure_time, Millis(5));
@@ -351,8 +373,8 @@ TEST(PlacementPackerTest, ConsolidationShipsStagedBatches) {
 }
 
 TEST(PlacementPackerTest, EachGateBlocksConsolidation) {
-  {  // The least-loaded unit is above donor_load_max; at the bound it
-     // donates.
+  {  // The least-loaded unit is above kDonorLoadMax (0.45); at the bound
+     // it donates.
     ConsolidationParams roomy;
     roomy.target_load_ceiling = 1.0;
     PackerRig rig(engine::PlacementMap({0, 1}, 2), roomy);

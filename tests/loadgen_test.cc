@@ -288,7 +288,7 @@ TEST(LoadgenAdmissionTest, PressureDegradesBestEffortFirstPremiumNever) {
 }
 
 TEST(LoadgenAdmissionTest, RecentShedFractionCoversOnlyTheWindow) {
-  AdmissionParams params;  // shed_window = 3 s
+  AdmissionParams params;  // kShedWindow (admission.cc) is 3 s
   AdmissionController adm(params);
   double pressure = 1.0;
   adm.SetPressureSource([&pressure] { return pressure; });
@@ -313,7 +313,7 @@ TEST(LoadgenAdmissionTest, ShedWindowAgesBucketsAtExactBoundaries) {
   // they land in adjacent 1-second buckets and age out of the 3 s window
   // one second apart, with the transition happening exactly at the
   // boundary instant (start + 1s <= now - window), not a tick later.
-  AdmissionParams params;  // shed_window = 3 s
+  AdmissionParams params;  // kShedWindow (admission.cc) is 3 s
   AdmissionController adm(params);
   double pressure = 0.0;
   adm.SetPressureSource([&pressure] { return pressure; });
